@@ -29,6 +29,13 @@ inline double seconds_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
 }
 
+/// Exact quantile from sorted raw samples (nearest-rank on n-1).
+inline double quantile(const std::vector<double>& sorted, double q) {
+  if (sorted.empty()) return 0.0;
+  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
+  return sorted[idx];
+}
+
 inline pipeline::PipelineResult make_run(const facility::ClusterSpec& preset, double scale,
                                          int days, bool maintenance) {
   pipeline::PipelineConfig cfg;

@@ -25,6 +25,7 @@
 namespace {
 
 using namespace supremm;
+using bench::quantile;
 using bench::seconds_since;
 
 constexpr std::size_t kRows = 300'000;
@@ -47,13 +48,6 @@ const std::vector<std::string>& query_mix() {
       "query jobs group cluster agg mean(end)",
   };
   return mix;
-}
-
-/// Exact quantile from sorted raw samples (nearest-rank on n-1).
-double quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
 }
 
 struct ParsedMix {

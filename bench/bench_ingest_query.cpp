@@ -3,20 +3,16 @@
 // path: raw-format parsing throughput, the full ETL pipeline, and warehouse
 // group-by queries over the job table.
 //
-// The grouped-aggregation section also measures the vectorized engine
-// against a row-at-a-time reference (the pre-vectorization execution
-// strategy: per-row std::function predicate dispatch, string-concatenated
-// group keys) and the thread-scaling curve, writing both to
-// BENCH_query.json for cross-PR tracking.
+// The grouped-aggregation section also measures the vectorized engine's
+// thread-scaling curve, writing it to BENCH_query.json for cross-PR
+// tracking.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <random>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "bench_common.h"
@@ -73,52 +69,6 @@ const warehouse::Table& agg_table() {
   return t;
 }
 
-/// The pre-vectorization execution strategy, kept as a benchmark reference:
-/// row-at-a-time scan, per-row std::function predicate, group keys built by
-/// string concatenation, aggregation state addressed through a string map.
-warehouse::Table legacy_group_by(const warehouse::Table& t,
-                                 const std::function<bool(const warehouse::Table&,
-                                                          std::size_t)>& pred) {
-  struct State {
-    double wvsum = 0, wsum = 0, sum = 0;
-    std::int64_t n = 0;
-  };
-  std::unordered_map<std::string, std::size_t> groups;
-  std::vector<std::string> order;
-  std::vector<State> states;
-  const auto& user = t.col("user");
-  const auto& idle = t.col("cpu_idle");
-  const auto& nh = t.col("node_hours");
-  for (std::size_t r = 0; r < t.rows(); ++r) {
-    if (pred && !pred(t, r)) continue;
-    const std::string key(user.as_string(r));
-    auto [it, inserted] = groups.emplace(key, states.size());
-    if (inserted) {
-      order.push_back(key);
-      states.emplace_back();
-    }
-    State& s = states[it->second];
-    const double v = idle.as_double(r);
-    const double w = nh.as_double(r);
-    s.wvsum += w * v;
-    s.wsum += w;
-    s.sum += w;
-    ++s.n;
-  }
-  warehouse::Table out("agg", {{"user", warehouse::ColType::kString},
-                               {"idle", warehouse::ColType::kDouble},
-                               {"node_hours_sum", warehouse::ColType::kDouble},
-                               {"n", warehouse::ColType::kInt64}});
-  for (std::size_t g = 0; g < order.size(); ++g) {
-    out.append()
-        .set("user", order[g])
-        .set("idle", states[g].wsum > 0 ? states[g].wvsum / states[g].wsum : 0.0)
-        .set("node_hours_sum", states[g].sum)
-        .set("n", states[g].n);
-  }
-  return out;
-}
-
 std::vector<warehouse::AggSpec> agg_specs() {
   return {{"cpu_idle", warehouse::AggKind::kWeightedMean, "node_hours", "idle"},
           {"node_hours", warehouse::AggKind::kSum, "", ""},
@@ -157,16 +107,6 @@ void BM_IngestPipeline(benchmark::State& state) {
   state.counters["jobs"] = static_cast<double>(run.result.jobs.size());
 }
 BENCHMARK(BM_IngestPipeline)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
-
-void BM_WarehouseGroupByLegacy(benchmark::State& state) {
-  const auto& table = agg_table();
-  for (auto _ : state) {
-    auto g = legacy_group_by(table, {});
-    benchmark::DoNotOptimize(g);
-  }
-  state.counters["rows"] = static_cast<double>(table.rows());
-}
-BENCHMARK(BM_WarehouseGroupByLegacy);
 
 void BM_WarehouseGroupBy(benchmark::State& state) {
   const auto& table = agg_table();
@@ -218,21 +158,13 @@ double time_median(int reps, Fn&& fn) {
   return times[times.size() / 2];
 }
 
-/// The grouped-aggregation scaling study behind BENCH_query.json: legacy
-/// row-at-a-time engine vs the vectorized engine at 1/2/4/8 threads.
+/// The grouped-aggregation scaling study behind BENCH_query.json: the
+/// vectorized engine at 1/2/4/8 threads.
 void write_query_json() {
   const auto& table = agg_table();
   const double rows = static_cast<double>(table.rows());
   constexpr int kReps = 5;
   bench::BenchJson json("query");
-
-  const double t_legacy = time_median(kReps, [&] {
-    auto g = legacy_group_by(table, {});
-    benchmark::DoNotOptimize(g);
-  });
-  json.record("group_by_legacy_scalar")
-      .num("seconds", t_legacy)
-      .num("rows_per_s", rows / t_legacy);
 
   double t1 = 0.0;
   for (const std::size_t threads : {1, 2, 4, 8}) {
@@ -249,11 +181,10 @@ void write_query_json() {
         .num("threads", static_cast<double>(threads))
         .num("seconds", t)
         .num("rows_per_s", rows / t)
-        .num("speedup_vs_1thread", t1 / t)
-        .num("speedup_vs_legacy", t_legacy / t);
+        .num("speedup_vs_1thread", t1 / t);
     std::printf("[scaling] group-by %zu thread(s): %.4f s (%.1f Mrows/s, %.2fx vs "
-                "legacy, %.2fx vs 1 thread)\n",
-                threads, t, rows / t / 1e6, t_legacy / t, t1 / t);
+                "1 thread)\n",
+                threads, t, rows / t / 1e6, t1 / t);
   }
   json.write("BENCH_query.json");
 }

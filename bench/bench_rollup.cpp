@@ -1,10 +1,11 @@
 // DESIGN.md §16: XDMoD-style dashboards answer their standing queries from
 // pre-aggregated rollup tables, not raw scans. This bench publishes a large
-// synthetic jobs population, first gates on in-bench bit-identity — every
-// dashboard request served from rollup cells must equal the forced raw scan
-// bit-for-bit — then measures a dashboard-mix workload with rollups on vs
-// off (p50/p99 client-observed latency, rollup hit rate) and the incremental
-// maintenance cost per archive append. Results go to BENCH_rollup.json.
+// synthetic jobs population to two services, one with rollups and one
+// without, first gates on in-bench bit-identity — every dashboard request
+// served from rollup cells must equal the raw scan bit-for-bit — then
+// measures a dashboard-mix workload on each (p50/p99 client-observed
+// latency, rollup hit rate) and the incremental maintenance cost per
+// archive append. Results go to BENCH_rollup.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -16,22 +17,23 @@
 #include "bench_common.h"
 #include "testkit/genrequest.h"
 #include "testkit/oracle.h"
-#include "warehouse/rollup.h"
 
 namespace {
 
 using namespace supremm;
+using bench::quantile;
 using bench::seconds_since;
 
 constexpr std::size_t kRows = 400'000;
 constexpr int kIterations = 40;  // passes over the dashboard mix per mode
 constexpr double kSpeedupFloor = 5.0;
 
-service::ServiceConfig make_config() {
+service::ServiceConfig make_config(bool rollups) {
   service::ServiceConfig cfg;
   cfg.workers = 2;
   cfg.queue_limit = 256;
   cfg.cache_entries = 0;  // measure execution, not result caching
+  cfg.rollups = rollups;
   return cfg;
 }
 
@@ -72,13 +74,6 @@ void require_ok(const service::ResponsePtr& r, const std::string& text) {
   }
 }
 
-/// Exact quantile from sorted raw samples (nearest-rank on n-1).
-double quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
-}
-
 struct MixTiming {
   std::vector<double> ms;  // one client-observed sample per request
   double p50 = 0.0, p99 = 0.0;
@@ -109,10 +104,14 @@ int main() {
   auto t0 = std::chrono::steady_clock::now();
   std::vector<etl::JobSummary> jobs =
       testkit::make_rollup_jobs({.rows = kRows, .seed = bench::kSeed});
-  service::Service svc(make_config());
+  service::Service svc(make_config(/*rollups=*/true));
   svc.publish_jobs(jobs);
   std::printf("[setup] %zu jobs published, %.2fs (rollup cells: %zu)\n", kRows,
               seconds_since(t0), svc.metrics().rollup_cells);
+  t0 = std::chrono::steady_clock::now();
+  service::Service raw_svc(make_config(/*rollups=*/false));
+  raw_svc.publish_jobs(std::move(jobs));
+  std::printf("[setup] same jobs published without rollups, %.2fs\n", seconds_since(t0));
 
   bench::BenchJson json("rollup");
   json.record("setup")
@@ -121,17 +120,14 @@ int main() {
       .num("cells", static_cast<double>(svc.metrics().rollup_cells));
 
   auto sess = svc.session("dashboard");
+  auto raw_sess = raw_svc.session("dashboard");
 
   // Phase 1 — identity gate: every request in the mix, rollup-served vs the
-  // forced raw scan over the same snapshot. Any bit difference is a hard
-  // bench failure.
+  // raw scan over the same jobs. Any bit difference is a hard bench failure.
   t0 = std::chrono::steady_clock::now();
   for (const std::string& text : dashboard_mix()) {
-    warehouse::rollup::set_enabled(true);
     const auto served = sess.run(text);
-    warehouse::rollup::set_enabled(false);
-    const auto raw = sess.run(text);
-    warehouse::rollup::set_enabled(true);
+    const auto raw = raw_sess.run(text);
     require_ok(served, text);
     require_ok(raw, text);
     if (auto diff = testkit::table_diff(*served->table, *raw->table)) {
@@ -145,12 +141,9 @@ int main() {
 
   // Phase 2 — dashboard-mix latency, rollups on vs off.
   const auto before = svc.metrics();
-  warehouse::rollup::set_enabled(true);
   const MixTiming on = time_mix(sess, kIterations);
   const auto after = svc.metrics();
-  warehouse::rollup::set_enabled(false);
-  const MixTiming off = time_mix(sess, kIterations);
-  warehouse::rollup::set_enabled(true);
+  const MixTiming off = time_mix(raw_sess, kIterations);
 
   const double hits = static_cast<double>(after.rollup_hits - before.rollup_hits);
   const double reqs = static_cast<double>(on.ms.size());

@@ -26,6 +26,7 @@
 namespace {
 
 using namespace supremm;
+using bench::quantile;
 using bench::seconds_since;
 
 constexpr std::size_t kRows = 1'000'000;
@@ -48,13 +49,6 @@ void require_ok(const service::ResponsePtr& r, const std::string& text) {
                  service::to_string(r->status), r->error.c_str(), text.c_str());
     std::exit(1);
   }
-}
-
-/// Exact quantile from sorted raw samples (nearest-rank on n-1).
-double quantile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
-  return sorted[idx];
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
-// Shared work-stealing worker pool (DESIGN.md §15).
+// Shared work-stealing worker pool (DESIGN.md §15) — the process's one
+// thread pool: collection (taccstats::run_all_agents), ingest chunks, the
+// query engine and the archive codec all run on it.
 //
-// ThreadPool (thread_pool.h) spawns threads per pool object, which is fine
-// for the long-lived ETL pipeline but made the archive codec pay thread
-// start-up and queue traffic on every encode/decode call — the source of the
-// sub-1× "speedup" bench_archive measured at 8 threads. This pool is the
-// architectural fix: one process-wide set of workers, jobs described as an
-// index range pre-split into per-participant shards of contiguous batches,
+// The workers are process-wide and long-lived because spawning threads per
+// call costs more than encoding a small archive partition (bench_archive
+// measured a sub-1× "speedup" at 8 threads that way). Jobs are described as
+// an index range pre-split into per-participant shards of contiguous batches,
 // claims taken with a single fetch_add, and idle participants stealing whole
 // batches from other shards. The caller always participates, so a job
 // completes even when every worker is busy (including the nested case where

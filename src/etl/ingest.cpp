@@ -9,8 +9,8 @@
 #include <set>
 
 #include "common/error.h"
+#include "common/pool.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "facility/apps.h"
 #include "procsim/perf.h"
 #include "taccstats/reader.h"
@@ -372,19 +372,11 @@ IngestResult IngestPipeline::run(
     res.quality.push_back(std::move(hq));
   };
 
-  common::ThreadPool pool(config_.threads);
-  {
-    std::vector<std::future<void>> futs;
-    futs.reserve(nchunks);
-    for (std::size_t c = 0; c < nchunks; ++c) {
-      futs.push_back(pool.submit([&, c] {
-        const std::size_t lo = c * chunk;
-        const std::size_t hi = std::min(hosts.size(), lo + chunk);
-        for (std::size_t h = lo; h < hi; ++h) process_host(*hosts[h], partials[c]);
-      }));
-    }
-    for (auto& f : futs) f.get();
-  }
+  common::pool_run(nchunks, config_.threads, 1, [&](std::size_t c) {
+    const std::size_t lo = c * chunk;
+    const std::size_t hi = std::min(hosts.size(), lo + chunk);
+    for (std::size_t h = lo; h < hi; ++h) process_host(*hosts[h], partials[c]);
+  });
 
   // Deterministic merge in chunk order.
   IngestResult out;

@@ -272,7 +272,7 @@ wire::PartialMsg ShardExecutor::execute(const service::QuerySpec& spec,
                        std::chrono::milliseconds(deadline_ms));
   }
 
-  if (rollups_ != nullptr && warehouse::rollup::enabled()) {
+  if (rollups_ != nullptr) {
     if (const auto plan = warehouse::rollup::subsume(rollup_input(spec))) {
       return rollup_partial(*plan);
     }

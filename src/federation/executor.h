@@ -29,7 +29,8 @@ namespace supremm::federation {
 class ShardExecutor {
  public:
   struct Options {
-    bool rollups = true;            // materialize a RollupSet for this shard
+    // Materialize a RollupSet for this shard and serve from it.
+    bool rollups = warehouse::rollup::default_enabled();
     std::string rank_column = "job_id";
   };
 

@@ -641,8 +641,7 @@ void Service::execute(Job& job) {
           // cells (bit-identical to the raw scan by the DESIGN.md §16
           // contract); everything else falls through to the scan unchanged.
           bool served = false;
-          if (spec.table == archive::kJobsTable && job.snap->rollups &&
-              warehouse::rollup::enabled()) {
+          if (spec.table == archive::kJobsTable && job.snap->rollups) {
             if (const auto plan = warehouse::rollup::subsume(rollup_input(spec))) {
               warehouse::Table out =
                   warehouse::rollup::serve(*job.snap->rollups, *plan, &r.stats);
@@ -747,7 +746,7 @@ ServiceMetrics Service::metrics() const {
     m.epoch = epoch_;
     m.federation_bound = remote_ != nullptr;
     if (snap_ && snap_->rollups) {
-      m.rollups_enabled = warehouse::rollup::enabled();
+      m.rollups_enabled = true;
       m.rollup_cells = snap_->rollups->cells();
     }
   }

@@ -64,6 +64,7 @@
 #include "service/cache.h"
 #include "service/request.h"
 #include "warehouse/query.h"
+#include "warehouse/rollup.h"
 #include "warehouse/table.h"
 #include "xdmod/realm.h"
 
@@ -88,13 +89,13 @@ struct ServiceConfig {
   /// attempt (50, 100, 200, ... ms).
   std::int64_t stale_retry_backoff_ms = 50;
   /// Maintain rollup tables on publish and serve subsumable jobs queries
-  /// from them (DESIGN.md §16). Disabling skips the build and the serving
-  /// path — every query runs the raw scan. The jobs table is augmented and
-  /// time-partitioned either way, so the query surface (bucket columns) and
-  /// the aggregation contract — hence every result — are identical.
-  /// SUPREMM_ROLLUP=off additionally disables serving at runtime without
-  /// rebuilding snapshots.
-  bool rollups = true;
+  /// from them (DESIGN.md §16); a snapshot serves from rollups iff it built
+  /// them. Disabling skips the build and the serving path — every query runs
+  /// the raw scan. The jobs table is augmented and time-partitioned either
+  /// way, so the query surface (bucket columns) and the aggregation contract
+  /// — hence every result — are identical. Defaults to on unless
+  /// SUPREMM_ROLLUP=off (warehouse::rollup::default_enabled).
+  bool rollups = warehouse::rollup::default_enabled();
 
   /// Throws InvalidArgument naming the offending field: workers, queue_limit,
   /// default_deadline_ms and stale_retry_backoff_ms must be positive;
@@ -264,7 +265,7 @@ struct ServiceMetrics {
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
   std::size_t cache_entries = 0;
-  bool rollups_enabled = false;        // snapshot has rollups and serving is on
+  bool rollups_enabled = false;        // the snapshot has rollups (and serves them)
   std::uint64_t rollup_hits = 0;       // queries answered from rollup cells
   std::uint64_t rollup_misses = 0;     // jobs queries that fell back to a scan
   std::uint64_t rollup_rebuilds = 0;   // snapshots whose rollups were rebuilt

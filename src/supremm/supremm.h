@@ -28,7 +28,6 @@
 #include "common/csv.h"                 // IWYU pragma: export
 #include "common/error.h"               // IWYU pragma: export
 #include "common/rng.h"                 // IWYU pragma: export
-#include "common/thread_pool.h"         // IWYU pragma: export
 #include "common/time.h"                // IWYU pragma: export
 #include "etl/ingest.h"                 // IWYU pragma: export
 #include "etl/job_summary.h"            // IWYU pragma: export

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "common/thread_pool.h"
+#include "common/pool.h"
 
 namespace supremm::taccstats {
 
@@ -125,8 +125,7 @@ NodeOutput NodeAgent::run() {
 std::vector<NodeOutput> run_all_agents(FacilityEngine& engine, const AgentConfig& config,
                                        std::size_t threads) {
   std::vector<NodeOutput> out(engine.node_count());
-  common::ThreadPool pool(threads);
-  pool.parallel_for(0, engine.node_count(), [&](std::size_t n) {
+  common::pool_run(engine.node_count(), threads, 1, [&](std::size_t n) {
     NodeAgent agent(engine, n, config);
     out[n] = agent.run();
   });

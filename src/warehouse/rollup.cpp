@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -264,11 +263,6 @@ std::optional<std::int64_t> int_floor(double v) {
   return static_cast<std::int64_t>(std::floor(v));
 }
 
-std::atomic<int>& enabled_state() {
-  static std::atomic<int> s{-1};
-  return s;
-}
-
 }  // namespace
 
 std::span<const Level> levels() { return kLevels; }
@@ -277,18 +271,14 @@ std::span<const char* const> metrics() { return {kMetrics, kNumMetrics}; }
 
 bool is_rollup_table(std::string_view table) { return table.starts_with("rollup_"); }
 
-bool enabled() {
-  int v = enabled_state().load(std::memory_order_relaxed);
-  if (v < 0) {
+bool default_enabled() {
+  static const bool on = [] {
     const char* e = std::getenv("SUPREMM_ROLLUP");
     const std::string_view sv = e != nullptr ? std::string_view(e) : std::string_view();
-    v = (sv == "off" || sv == "0") ? 0 : 1;
-    enabled_state().store(v, std::memory_order_relaxed);
-  }
-  return v == 1;
+    return sv != "off" && sv != "0";
+  }();
+  return on;
 }
-
-void set_enabled(bool on) { enabled_state().store(on ? 1 : 0, std::memory_order_relaxed); }
 
 void augment_jobs_table(Table& jobs) {
   const auto ends = jobs.col("end").int64s();

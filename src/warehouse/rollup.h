@@ -40,11 +40,11 @@ struct Level {
 /// loader must not treat these as unknown tables.
 [[nodiscard]] bool is_rollup_table(std::string_view table);
 
-/// Whether the serving path is enabled: ServiceConfig gates construction,
-/// this gates use. Reads SUPREMM_ROLLUP once ("off" or "0" disables);
-/// set_enabled overrides for tests and the differential fuzz leg.
-[[nodiscard]] bool enabled();
-void set_enabled(bool on);
+/// Default for the per-instance rollup switches (ServiceConfig::rollups,
+/// ShardExecutor::Options::rollups): false when SUPREMM_ROLLUP is "off" or
+/// "0", true otherwise. Read once per process; an explicit assignment to
+/// either field wins. An instance serves from rollups iff it built them.
+[[nodiscard]] bool default_enabled();
 
 /// Derive the bucket-start columns ("day", "week", "month", "quarter", in
 /// seconds) from the "end" column and declare the table time-partitioned on

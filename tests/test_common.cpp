@@ -1,17 +1,21 @@
-// Unit tests for the common module: time, rng, strings, csv, thread pool,
+// Unit tests for the common module: time, rng, strings, csv, worker pool,
 // ascii tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "common/ascii_table.h"
 #include "common/csv.h"
 #include "common/error.h"
+#include "common/pool.h"
 #include "common/rng.h"
 #include "common/strings.h"
-#include "common/thread_pool.h"
 #include "common/time.h"
 
 namespace sc = supremm::common;
@@ -287,54 +291,69 @@ TEST(Csv, IncrementalFields) {
   EXPECT_EQ(os.str(), "x,2.5,-3\nnext\n");
 }
 
-// --- thread pool ----------------------------------------------------------
+// --- worker pool ------------------------------------------------------------
 
-TEST(ThreadPool, RunsSubmittedTasks) {
-  sc::ThreadPool pool(4);
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futs;
-  for (int i = 0; i < 64; ++i) {
-    futs.push_back(pool.submit([&count] { count.fetch_add(1); }));
+TEST(WorkerPool, EveryIndexRunsExactlyOnce) {
+  sc::WorkerPool pool(3);
+  for (const std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{1000}}) {
+    for (const std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{4}}) {
+      for (const std::size_t grain : {std::size_t{0}, std::size_t{1}, std::size_t{7}}) {
+        std::vector<std::atomic<int>> hits(n);
+        pool.run(n, threads, grain, [&hits](std::size_t i) { hits[i].fetch_add(1); });
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(hits[i].load(), 1) << "n=" << n << " threads=" << threads
+                                       << " grain=" << grain << " index " << i;
+        }
+      }
+    }
   }
-  for (auto& f : futs) f.get();
-  EXPECT_EQ(count.load(), 64);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
-  sc::ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(0, 100, [&hits](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRange) {
-  sc::ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&ran](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, PropagatesExceptions) {
-  sc::ThreadPool pool(2);
-  EXPECT_THROW(pool.parallel_for(0, 10,
-                                 [](std::size_t i) {
-                                   if (i == 7) throw std::runtime_error("boom");
-                                 }),
-               std::runtime_error);
-}
-
-TEST(ThreadPool, ChunkedVariant) {
-  sc::ThreadPool pool(4);
-  std::atomic<std::size_t> total{0};
-  pool.parallel_for_chunks(10, 110, [&total](std::size_t b, std::size_t e) {
-    total.fetch_add(e - b);
+TEST(WorkerPool, SingleThreadRunsOnCaller) {
+  sc::WorkerPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::thread::id> ran_on(100);
+  pool.run(ran_on.size(), 1, 0, [&ran_on](std::size_t i) {
+    ran_on[i] = std::this_thread::get_id();
   });
-  EXPECT_EQ(total.load(), 100u);
+  for (const std::thread::id& id : ran_on) EXPECT_EQ(id, caller);
 }
 
-TEST(ThreadPool, SizeDefaultsPositive) {
-  sc::ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
+TEST(WorkerPool, FirstExceptionIsRethrown) {
+  sc::WorkerPool pool(3);
+  // Inline, the first unit to throw is unit 3, and no later unit runs.
+  std::vector<int> ran;
+  try {
+    pool.run(10, 1, 0, [&ran](std::size_t i) {
+      ran.push_back(static_cast<int>(i));
+      if (i == 3 || i == 7) throw std::runtime_error("unit " + std::to_string(i));
+    });
+    FAIL() << "exception was swallowed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "unit 3");
+  }
+  EXPECT_EQ(ran, (std::vector<int>{0, 1, 2, 3}));
+  // Across participants exactly one exception surfaces, and the pool stays
+  // usable afterwards.
+  EXPECT_THROW(pool.run(1000, 4, 1,
+                        [](std::size_t i) {
+                          if (i % 100 == 99) throw std::runtime_error("boom");
+                        }),
+               std::runtime_error);
+  std::atomic<std::size_t> total{0};
+  pool.run(1000, 4, 0, [&total](std::size_t) { total.fetch_add(1); });
+  EXPECT_EQ(total.load(), 1000u);
+}
+
+TEST(WorkerPool, NestedRunCompletes) {
+  // A unit that submits its own job must not deadlock even when every worker
+  // is busy in the outer job: the nested caller participates in its job.
+  constexpr std::size_t kOuter = 16, kInner = 100;
+  std::vector<std::atomic<int>> hits(kOuter * kInner);
+  sc::pool_run(kOuter, 4, 1, [&hits](std::size_t o) {
+    sc::pool_run(kInner, 4, 0, [&hits, o](std::size_t i) { hits[o * kInner + i].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 // --- ascii table ------------------------------------------------------------

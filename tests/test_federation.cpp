@@ -57,14 +57,6 @@ namespace {
 constexpr std::int64_t kDay = sc::kDay;
 constexpr std::uint64_t kSeed = 20130313;
 
-/// Forces rollup serving on for the test body (the SUPREMM_ROLLUP=off ctest
-/// leg then re-runs the whole suite with serving disabled; identity must
-/// hold either way) and restores the default on exit.
-struct EnabledGuard {
-  EnabledGuard() { ru::set_enabled(true); }
-  ~EnabledGuard() { ru::set_enabled(true); }
-};
-
 /// Shard counts under test. SUPREMM_FED_SHARDS pins one count, so CI matrix
 /// legs can split the work (and prove each count in isolation).
 std::vector<std::size_t> shard_counts() {
@@ -165,7 +157,6 @@ std::string request_bytes(const sv::QuerySpec& spec) {
 // adversarial (seed-random per (cluster, day) cell) placement.
 
 TEST(FederationFuzz, ShardCountsThreadsRollupsBitIdentical) {
-  EnabledGuard guard;
   constexpr std::size_t kQueries = 90;
   for (const std::size_t nshards : shard_counts()) {
     const auto slices =
@@ -200,7 +191,6 @@ TEST(FederationFuzz, ShardCountsThreadsRollupsBitIdentical) {
 }
 
 TEST(FederationFuzz, RollupServedShardsReportAndMatch) {
-  EnabledGuard guard;
   const auto slices = tk::split_jobs_for_shards(fuzz_jobs(), 3, 99);
   const Fed with = make_fed(slices, /*rollups=*/true);
   const Fed without = make_fed(slices, /*rollups=*/false);
@@ -344,7 +334,6 @@ TEST(FederationDeterminism, GroupOrderIgnoresShardLocalDiscoveryOrder) {
 // all-pruned scatter still returns the schema-correct empty table.
 
 TEST(FederationCatalog, ClusterAndDayPruningSkipShards) {
-  EnabledGuard guard;
   // One shard per cluster (the rollup population uses c0/c1/c2).
   std::vector<std::vector<etl::JobSummary>> slices(3);
   for (const auto& j : fuzz_jobs()) {
@@ -442,7 +431,6 @@ TEST(FederationCatalog, EmptyShardIsLegalAndPrunedFromBoundedQueries) {
 // service answers; zero-success scatters error.
 
 TEST(FederationService, ShardFaultDegradesToAccountedPartial) {
-  EnabledGuard guard;
   const auto slices = tk::split_jobs_for_shards(fuzz_jobs(), 2, 11);
   const Fed f = make_fed(slices, /*rollups=*/false);
   f.transports[1]->set_before(

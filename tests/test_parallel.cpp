@@ -1,5 +1,6 @@
-// Determinism suite for the parallel vectorized query engine and the
-// multi-threaded archive codec (ctest label: parallel).
+// Determinism suite for the parallel vectorized query engine, the
+// multi-threaded archive codec and parallel collection (ctest label:
+// parallel).
 //
 // The contract under test (DESIGN.md §7/§11): query results, QueryStats,
 // group emission order and archive partition bytes are bit-identical for
@@ -309,6 +310,42 @@ TEST(ParallelArchive, ReaderTablesIdenticalAcrossThreadCounts) {
     expect_tables_identical(*jobs_ref, jobs);
   }
   fs::remove_all(dir);
+}
+
+/// Collect one simulated day of a small Ranger on a fresh engine (agents
+/// advance node counters, so each collection needs its own engine).
+std::vector<taccstats::NodeOutput> collect_day(std::size_t threads) {
+  const facility::ClusterSpec spec = facility::scaled(facility::ranger(), 0.008);
+  const auto catalogue = facility::standard_catalogue();
+  const auto population = facility::UserPopulation::generate(spec, catalogue, 31);
+  facility::WorkloadConfig wl;
+  wl.span = common::kDay;
+  wl.seed = 31;
+  auto execs = facility::Scheduler::run(
+      spec, facility::generate_workload(spec, catalogue, population, wl), {});
+  facility::FacilityEngine engine(spec, std::move(execs), {}, 0, wl.span, 31);
+  return taccstats::run_all_agents(engine, taccstats::AgentConfig{}, threads);
+}
+
+/// Collection on the shared worker pool writes the same raw files, node by
+/// node, at any thread count.
+TEST(ParallelCollect, RunAllAgentsFilesIdenticalAcrossThreadCounts) {
+  const auto serial = collect_day(1);
+  const auto parallel = collect_day(4);
+  ASSERT_EQ(serial.size(), parallel.size());
+  ASSERT_GT(serial.size(), 1u);
+  for (std::size_t n = 0; n < serial.size(); ++n) {
+    SCOPED_TRACE("node " + std::to_string(n));
+    EXPECT_EQ(serial[n].bytes, parallel[n].bytes);
+    EXPECT_EQ(serial[n].samples, parallel[n].samples);
+    ASSERT_EQ(serial[n].files.size(), parallel[n].files.size());
+    ASSERT_FALSE(serial[n].files.empty());
+    for (std::size_t f = 0; f < serial[n].files.size(); ++f) {
+      EXPECT_EQ(serial[n].files[f].hostname, parallel[n].files[f].hostname);
+      EXPECT_EQ(serial[n].files[f].day, parallel[n].files[f].day);
+      EXPECT_EQ(serial[n].files[f].content, parallel[n].files[f].content);
+    }
+  }
 }
 
 }  // namespace

@@ -6,12 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "archive/archive.h"
@@ -178,13 +180,16 @@ void flip_byte(const fs::path& file) {
   f.put(static_cast<char>(c ^ 0x5a));
 }
 
-/// Forces rollup serving on for the test body (overriding a SUPREMM_ROLLUP=off
-/// environment, so the forced-off ctest leg still exercises these paths) and
-/// restores the switch when the test exits, pass or fail.
-struct EnabledGuard {
-  EnabledGuard() { ru::set_enabled(true); }
-  ~EnabledGuard() { ru::set_enabled(true); }
-};
+/// Service config for the rollup tests. `rollups` is always assigned
+/// explicitly, so the SUPREMM_ROLLUP=off ctest leg (which only changes the
+/// default) still exercises the serving paths.
+sv::ServiceConfig rollup_config(bool rollups, int cache_entries = 0) {
+  sv::ServiceConfig cfg;
+  cfg.workers = 1;
+  cfg.cache_entries = cache_entries;
+  cfg.rollups = rollups;
+  return cfg;
+}
 
 // ---------------------------------------------------------------------------
 // Calendar math (DST-free by construction: a day is exactly 86400 simulated
@@ -407,15 +412,12 @@ TEST(RollupFuzz, SimdTiersBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// Service integration: forced-off differential leg, hit accounting, epoch
-// invalidation across appends.
+// Service integration: rollups-off differential leg, hit accounting, the
+// SUPREMM_ROLLUP default, epoch invalidation across appends.
 
 TEST(RollupService, ServedAndForcedOffLegsAreBitIdentical) {
-  EnabledGuard guard;
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_entries = 0;  // no cache: every submit exercises the executor
-  sv::Service on(cfg), off(cfg);
+  // No cache: every submit exercises the executor.
+  sv::Service on(rollup_config(true)), off(rollup_config(false));
   on.publish_jobs(fuzz_jobs());
   off.publish_jobs(fuzz_jobs());
   auto son = on.session("on"), soff = off.session("off");
@@ -425,15 +427,12 @@ TEST(RollupService, ServedAndForcedOffLegsAreBitIdentical) {
   for (std::size_t q = 0; q < 200; ++q) {
     tk::QuerySpec spec;
     const std::string text = tk::make_rollup_request_text(kSeed, q, &spec);
-    ru::set_enabled(true);
     const sv::ResponsePtr ron = son.run(text);
-    ru::set_enabled(false);
     const sv::ResponsePtr roff = soff.run(text);
     ASSERT_EQ(ron->status, sv::Status::kOk) << text << ": " << ron->error;
     ASSERT_EQ(roff->status, sv::Status::kOk) << text << ": " << roff->error;
     expect_tables_identical(*ron->table, *roff->table);
     // Both legs also match the engine run over the augmented reference.
-    ru::set_enabled(true);
     const tk::QueryRun raw = tk::run_engine(fuzz_ref(), spec);
     expect_tables_identical(*ron->table, raw.table);
     if (ru::subsume(rollup_input(spec))) ++served;
@@ -444,18 +443,16 @@ TEST(RollupService, ServedAndForcedOffLegsAreBitIdentical) {
   EXPECT_GE(mon.rollup_hits, 50u);
   EXPECT_GT(mon.rollup_cells, 0u);
   EXPECT_TRUE(mon.rollups_enabled);
-  // The forced-off service never consulted the checker.
+  // The rollups=false service never consulted the checker.
   const sv::ServiceMetrics moff = off.metrics();
   EXPECT_EQ(moff.rollup_hits, 0u);
+  EXPECT_FALSE(moff.rollups_enabled);
   const std::string json = on.metrics_json();
   EXPECT_NE(json.find("\"rollup\":{\"enabled\":true"), std::string::npos);
 }
 
 TEST(RollupService, DisabledConfigSkipsBuildAndServing) {
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.rollups = false;
-  sv::Service svc(cfg);
+  sv::Service svc(rollup_config(false));
   svc.publish_jobs(fuzz_jobs());
   auto s = svc.session("c");
   const sv::ResponsePtr r = s.run("query jobs group user agg count()");
@@ -466,17 +463,40 @@ TEST(RollupService, DisabledConfigSkipsBuildAndServing) {
   EXPECT_EQ(m.rollup_cells, 0u);
 }
 
+TEST(RollupService, ExplicitConfigOverridesEnvironmentDefault) {
+  // SUPREMM_ROLLUP only sets the default of ServiceConfig::rollups: under
+  // the SUPREMM_ROLLUP=off ctest leg a service configured with
+  // rollups = true still builds and serves its rollups, bit-identical to
+  // the raw scan.
+  const char* env = std::getenv("SUPREMM_ROLLUP");
+  const bool env_off =
+      env != nullptr && (std::string_view(env) == "off" || std::string_view(env) == "0");
+  EXPECT_EQ(sv::ServiceConfig{}.rollups, !env_off);
+  EXPECT_EQ(ru::default_enabled(), !env_off);
+
+  sv::Service svc(rollup_config(true));
+  svc.publish_jobs(fuzz_jobs());
+  auto s = svc.session("explicit");
+  constexpr std::uint64_t kSeed = 424242;
+  for (std::size_t q = 0; q < 40; ++q) {
+    tk::QuerySpec spec;
+    const std::string text = tk::make_rollup_request_text(kSeed, q, &spec);
+    const sv::ResponsePtr r = s.run(text);
+    ASSERT_EQ(r->status, sv::Status::kOk) << text << ": " << r->error;
+    expect_tables_identical(*r->table, tk::run_engine(fuzz_ref(), spec).table);
+  }
+  const sv::ServiceMetrics m = svc.metrics();
+  EXPECT_GE(m.rollup_hits, 1u);
+  EXPECT_TRUE(m.rollups_enabled);
+}
+
 TEST(RollupService, AppendAdvancesEpochAndInvalidatesRollupCache) {
-  EnabledGuard guard;
   const SimRun& run = small_ranger_run();
   const std::string dir = scratch_dir("rollup-epoch");
   ar::Archive a(dir);
   append_days(a, run, 4);
 
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_entries = 16;
-  sv::Service svc(cfg);
+  sv::Service svc(rollup_config(true, /*cache_entries=*/16));
   svc.bind_archive(a);
   auto s = svc.session("dash");
 
@@ -551,9 +571,7 @@ TEST(RollupArchive, MaintainedCellsAreUsedWithoutRebuild) {
   append_days(a, run, 2);
   ASSERT_TRUE(a.load_rollups().has_value());
 
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  sv::Service svc(cfg);
+  sv::Service svc(rollup_config(true));
   svc.bind_archive(a);
   EXPECT_EQ(svc.metrics().rollup_rebuilds, 0u);  // maintained cells were used
   EXPECT_GT(svc.metrics().rollup_cells, 0u);
@@ -563,7 +581,6 @@ TEST(RollupArchive, MissingRollupPartitionsFallBackToRebuild) {
   // Strip the rollup partition files: load_rollups must refuse the partial
   // state (nullopt) and a binding service rebuilds its cells from the jobs
   // table — serving identical answers either way.
-  EnabledGuard guard;
   const SimRun& run = small_ranger_run();
   const std::string dir = scratch_dir("rollup-legacy");
   {
@@ -582,9 +599,7 @@ TEST(RollupArchive, MissingRollupPartitionsFallBackToRebuild) {
   ar::Archive a(dir);
   EXPECT_FALSE(a.load_rollups().has_value());
 
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  sv::Service svc(cfg);
+  sv::Service svc(rollup_config(true));
   svc.bind_archive(a);  // first bind publishes despite the quarantines
   const sv::ServiceMetrics m = svc.metrics();
   EXPECT_EQ(m.rollup_rebuilds, 1u);
@@ -632,26 +647,20 @@ TEST(RollupServe, DictionaryMissShortCircuitsWithZeroScanned) {
 }
 
 TEST(RollupService, UnsortedPublishServesBitIdentical) {
-  EnabledGuard guard;
   // publish_jobs canonicalizes to ascending-id order (the order
   // Archive::load restores): a reversed publish must serve rollup and raw
   // answers bit-identical to each other and to the reference population.
-  std::vector<etl::JobSummary> reversed(fuzz_jobs().rbegin(), fuzz_jobs().rend());
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_entries = 0;
-  sv::Service svc(cfg);
-  svc.publish_jobs(std::move(reversed));
-  auto s = svc.session("rev");
+  const std::vector<etl::JobSummary> reversed(fuzz_jobs().rbegin(), fuzz_jobs().rend());
+  sv::Service served(rollup_config(true)), scanned(rollup_config(false));
+  served.publish_jobs(reversed);
+  scanned.publish_jobs(reversed);
+  auto s_on = served.session("rev"), s_off = scanned.session("rev");
   constexpr std::uint64_t kSeed = 20130313;
   for (std::size_t q = 0; q < 60; ++q) {
     tk::QuerySpec spec;
     const std::string text = tk::make_rollup_request_text(kSeed, q, &spec);
-    ru::set_enabled(true);
-    const sv::ResponsePtr on = s.run(text);
-    ru::set_enabled(false);
-    const sv::ResponsePtr off = s.run(text);
-    ru::set_enabled(true);
+    const sv::ResponsePtr on = s_on.run(text);
+    const sv::ResponsePtr off = s_off.run(text);
     ASSERT_EQ(on->status, sv::Status::kOk) << text << ": " << on->error;
     ASSERT_EQ(off->status, sv::Status::kOk) << text << ": " << off->error;
     expect_tables_identical(*on->table, *off->table);
@@ -661,16 +670,11 @@ TEST(RollupService, UnsortedPublishServesBitIdentical) {
 }
 
 TEST(RollupService, DisabledConfigKeepsQuerySurfaceAndResults) {
-  EnabledGuard guard;
   // rollups=false skips the build and the serving path but must not change
   // the query surface: bucket columns stay queryable and grouped
   // aggregation runs the same time-partitioned contract, so every answer
   // matches an enabled service bit for bit.
-  sv::ServiceConfig on_cfg, off_cfg;
-  on_cfg.workers = off_cfg.workers = 1;
-  on_cfg.cache_entries = off_cfg.cache_entries = 0;
-  off_cfg.rollups = false;
-  sv::Service on(on_cfg), off(off_cfg);
+  sv::Service on(rollup_config(true)), off(rollup_config(false));
   on.publish_jobs(fuzz_jobs());
   off.publish_jobs(fuzz_jobs());
   auto son = on.session("on"), soff = off.session("off");
@@ -691,7 +695,6 @@ TEST(RollupService, DisabledConfigKeepsQuerySurfaceAndResults) {
 }
 
 TEST(RollupService, FirstBindWithQuarantineRebuildsFromLoadedTable) {
-  EnabledGuard guard;
   const SimRun& run = small_ranger_run();
   const std::string dir = scratch_dir("rollup-quarantine-bind");
   {
@@ -711,20 +714,14 @@ TEST(RollupService, FirstBindWithQuarantineRebuildsFromLoadedTable) {
   ASSERT_TRUE(a.load_rollups().has_value());  // cells themselves are healthy
   ASSERT_FALSE(a.load().quarantined.empty());
 
-  sv::ServiceConfig cfg;
-  cfg.workers = 1;
-  cfg.cache_entries = 0;
-  sv::Service svc(cfg);
+  sv::Service svc(rollup_config(true)), raw(rollup_config(false));
   svc.bind_archive(a);  // first bind publishes the partial view
+  raw.bind_archive(a);
   EXPECT_EQ(svc.metrics().rollup_rebuilds, 1u);
 
-  auto s = svc.session("partial");
   const std::string text = "query jobs group user,day agg count(),sum(node_hours)";
-  ru::set_enabled(true);
-  const sv::ResponsePtr served = s.run(text);
-  ru::set_enabled(false);
-  const sv::ResponsePtr scanned = s.run(text);
-  ru::set_enabled(true);
+  const sv::ResponsePtr served = svc.session("partial").run(text);
+  const sv::ResponsePtr scanned = raw.session("partial").run(text);
   ASSERT_EQ(served->status, sv::Status::kOk) << served->error;
   ASSERT_EQ(scanned->status, sv::Status::kOk) << scanned->error;
   EXPECT_GE(svc.metrics().rollup_hits, 1u);
