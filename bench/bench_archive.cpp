@@ -268,17 +268,12 @@ int main() {
   // loaded host cannot read as a parallel regression when every leg actually
   // ran the same work. The real regression this bench guards against — a
   // fresh thread pool spawned per call — cost ~30%, far outside that band.
-  auto best = [](std::vector<double>& v) { return *std::min_element(v.begin(), v.end()); };
-  auto median = [](std::vector<double>& v) {
-    std::sort(v.begin(), v.end());
-    return v[v.size() / 2];
-  };
-  const double enc_base = median(reps_enc[0]);
-  const double dec_base = median(reps_dec[0]);
+  const double enc_base = bench::median_of(reps_enc[0]);
+  const double dec_base = bench::median_of(reps_dec[0]);
   for (std::size_t leg = 0; leg < kCodecLegs; ++leg) {
     const std::size_t threads = kCodecThreads[leg];
-    const double t_enc = best(reps_enc[leg]);
-    const double t_dec = best(reps_dec[leg]);
+    const double t_enc = bench::best_of(reps_enc[leg]);
+    const double t_dec = bench::best_of(reps_dec[leg]);
     json.record("partition_codec")
         .num("threads", static_cast<double>(threads))
         .num("encode_s", t_enc)

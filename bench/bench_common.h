@@ -10,8 +10,10 @@
 // alongside the scaled peak for comparison.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <thread>
 #include <utility>
@@ -34,6 +36,44 @@ inline double quantile(const std::vector<double>& sorted, double q) {
   if (sorted.empty()) return 0.0;
   const auto idx = static_cast<std::size_t>(q * static_cast<double>(sorted.size() - 1));
   return sorted[idx];
+}
+
+/// Fastest of raw rep timings (peak throughput).
+inline double best_of(const std::vector<double>& reps) {
+  return *std::min_element(reps.begin(), reps.end());
+}
+
+/// Median of raw rep timings (the upper one for an even count).
+inline double median_of(std::vector<double> reps) {
+  std::sort(reps.begin(), reps.end());
+  return reps[reps.size() / 2];
+}
+
+/// Median-of-reps wall seconds of one call of `fn`.
+template <typename Fn>
+double time_median(int reps, Fn&& fn) {
+  std::vector<double> times;
+  times.reserve(static_cast<std::size_t>(reps));
+  for (int i = 0; i < reps; ++i) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    times.push_back(seconds_since(t0));
+  }
+  return median_of(std::move(times));
+}
+
+/// Seconds per call of `fn`: best of `reps` reps of `iters` back-to-back
+/// calls, after one warm-up call.
+template <typename Fn>
+double time_call(int reps, int iters, Fn&& fn) {
+  fn();
+  double best = std::numeric_limits<double>::infinity();
+  for (int r = 0; r < reps; ++r) {
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < iters; ++i) fn();
+    best = std::min(best, seconds_since(t0) / iters);
+  }
+  return best;
 }
 
 inline pipeline::PipelineResult make_run(const facility::ClusterSpec& preset, double scale,

@@ -142,21 +142,7 @@ void BM_PersistenceAnalysis(benchmark::State& state) {
 }
 BENCHMARK(BM_PersistenceAnalysis);
 
-using supremm::bench::seconds_since;
-
-/// Median-of-reps wall time for `fn`.
-template <typename Fn>
-double time_median(int reps, Fn&& fn) {
-  std::vector<double> times;
-  times.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    times.push_back(seconds_since(t0));
-  }
-  std::sort(times.begin(), times.end());
-  return times[times.size() / 2];
-}
+using supremm::bench::time_median;
 
 /// The grouped-aggregation scaling study behind BENCH_query.json: the
 /// vectorized engine at 1/2/4/8 threads.

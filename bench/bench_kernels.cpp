@@ -33,18 +33,6 @@ constexpr std::size_t kRows = 1 << 16;  // 512 KB of doubles: L2-resident
 constexpr int kIters = 100;             // calls per timed rep
 constexpr int kReps = 5;
 
-/// Seconds per call, best of kReps reps of kIters calls, after a warm-up.
-double time_call(const std::function<void()>& fn) {
-  fn();
-  double best = std::numeric_limits<double>::infinity();
-  for (int r = 0; r < kReps; ++r) {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kIters; ++i) fn();
-    best = std::min(best, seconds_since(t0) / kIters);
-  }
-  return best;
-}
-
 std::string bytes_of(const void* p, std::size_t n) {
   return std::string(static_cast<const char*>(p), n);
 }
@@ -111,7 +99,7 @@ int main() {
       const bool identical = tc.tier == simd::Tier::kScalar || d == ref;
       if (tc.tier == simd::Tier::kScalar) ref = d;
       all_identical = all_identical && identical;
-      const double sec = time_call([&] { call(kt); });
+      const double sec = bench::time_call(kReps, kIters, [&] { call(kt); });
       if (tc.tier == simd::Tier::kScalar) scalar_sec = sec;
       const double rate = static_cast<double>(kRows) / sec;
       const double speedup = scalar_sec / sec;
@@ -218,8 +206,8 @@ int main() {
       const bool identical = tc.tier == simd::Tier::kScalar || d == ref;
       if (tc.tier == simd::Tier::kScalar) ref = d;
       all_identical = all_identical && identical;
-      const double sec = time_call(
-          [&] { simd::xor_delta_encode_f64(vals.data(), kRows, 0, deltas.data()); });
+      const double sec = bench::time_call(
+          kReps, kIters, [&] { simd::xor_delta_encode_f64(vals.data(), kRows, 0, deltas.data()); });
       if (tc.tier == simd::Tier::kScalar) scalar_sec = sec;
       const double rate = static_cast<double>(kRows) / sec;
       json.record("xor_delta_encode")
@@ -240,8 +228,8 @@ int main() {
     simd::xor_delta_decode_f64(src, kRows, 0, decoded.data());
     const bool identical = std::memcmp(decoded.data(), vals.data(), kRows * 8) == 0;
     all_identical = all_identical && identical;
-    const double sec =
-        time_call([&] { simd::xor_delta_decode_f64(src, kRows, 0, decoded.data()); });
+    const double sec = bench::time_call(
+        kReps, kIters, [&] { simd::xor_delta_decode_f64(src, kRows, 0, decoded.data()); });
     const double rate = static_cast<double>(kRows) / sec;
     json.record("xor_delta_decode")
         .str("tier", "any")

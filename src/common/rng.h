@@ -7,6 +7,8 @@
 // stable ids (node index, job id) rather than from a shared generator.
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <random>
 #include <string_view>
@@ -21,6 +23,30 @@ namespace supremm::common {
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
 }
+
+/// Hash of a fixed-width key tuple: each word (as uint64) xors into the
+/// running value, which then takes the SplitMix64 finalizer. The one key
+/// hash of the warehouse's fixed-width hash maps (packed group keys,
+/// micro-cell keys, rollup cell and unit keys).
+template <typename Word, std::size_t N>
+[[nodiscard]] constexpr std::uint64_t hash_words(const std::array<Word, N>& words) noexcept {
+  std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+  for (const Word word : words) {
+    std::uint64_t z = h ^ static_cast<std::uint64_t>(word);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    h = z ^ (z >> 31);
+  }
+  return h;
+}
+
+/// std::unordered_map hasher for std::array keys, through hash_words.
+struct WordsHash {
+  template <typename Word, std::size_t N>
+  std::size_t operator()(const std::array<Word, N>& words) const noexcept {
+    return static_cast<std::size_t>(hash_words(words));
+  }
+};
 
 /// Stable 64-bit hash of a string (FNV-1a), for deriving streams from names.
 [[nodiscard]] std::uint64_t hash_string(std::string_view s) noexcept;

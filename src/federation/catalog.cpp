@@ -3,39 +3,23 @@
 #include <algorithm>
 #include <cmath>
 
-#include "warehouse/aggstate.h"
+#include "common/time.h"
+#include "warehouse/rollup.h"
 
 namespace supremm::federation {
 
 namespace {
 
-constexpr double kDaySeconds = 86400.0;
-
-struct BucketCol {
-  const char* name;
-  std::int64_t grain;  // days per bucket
-};
-
-constexpr BucketCol kBucketCols[] = {
-    {"day", 1}, {"week", 7}, {"month", 28}, {"quarter", 84}};
-
-const BucketCol* bucket_col(const std::string& name) {
-  for (const auto& b : kBucketCols) {
-    if (name == b.name) return &b;
-  }
-  return nullptr;
-}
-
 /// Conservative day-index floor of a seconds value (rounds down, then one
 /// more day of slack for the double → int trip).
 std::int64_t day_floor(double seconds) {
-  const double d = std::floor(seconds / kDaySeconds);
+  const double d = std::floor(seconds / static_cast<double>(common::kDay));
   constexpr double kCap = 4.0e15;  // far past any simulated timeline
   return static_cast<std::int64_t>(std::clamp(d, -kCap, kCap)) - 1;
 }
 
 std::int64_t day_ceil(double seconds) {
-  const double d = std::ceil(seconds / kDaySeconds);
+  const double d = std::ceil(seconds / static_cast<double>(common::kDay));
   constexpr double kCap = 4.0e15;
   return static_cast<std::int64_t>(std::clamp(d, -kCap, kCap)) + 1;
 }
@@ -63,12 +47,12 @@ std::vector<std::size_t> Catalog::prune(const service::QuerySpec& spec) const {
       // below and end <= hi from above.
       if (has_lo) q_lo = std::max(q_lo, day_floor(t.lo));
       if (has_hi) q_hi = std::min(q_hi, day_ceil(t.hi));
-    } else if (const BucketCol* b = bucket_col(t.column)) {
+    } else if (const auto grain = warehouse::rollup::bucket_grain(t.column)) {
       // Bucket-start seconds: start <= day*86400 and start >= (day-g+1)*86400,
       // so start >= lo gives day >= lo/86400 - g and start <= hi gives
       // day <= hi/86400 + g (slack absorbs the bucket alignment).
-      if (has_lo) q_lo = std::max(q_lo, day_floor(t.lo) - b->grain);
-      if (has_hi) q_hi = std::min(q_hi, day_ceil(t.hi) + b->grain);
+      if (has_lo) q_lo = std::max(q_lo, day_floor(t.lo) - *grain);
+      if (has_hi) q_hi = std::min(q_hi, day_ceil(t.hi) + *grain);
     }
   }
 

@@ -3,70 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <map>
-#include <vector>
 
 #include "archive/partition.h"
 #include "common/cancel.h"
-#include "common/time.h"
 #include "common/error.h"
 #include "warehouse/aggstate.h"
 
 namespace supremm::federation {
-
-namespace {
-
-// The compiled request terms, re-expressed for the rollup subsumption
-// checker — same lossless mapping the service uses, so a query that
-// subsumes at the coordinator subsumes at every shard.
-warehouse::rollup::QueryInput rollup_input(const service::QuerySpec& spec) {
-  warehouse::rollup::QueryInput in;
-  in.where.reserve(spec.where.size());
-  for (const service::Term& t : spec.where) {
-    warehouse::rollup::PredInput p;
-    switch (t.op) {
-      case service::TermOp::kEq:
-        p.op = warehouse::rollup::PredInput::Op::kEq;
-        break;
-      case service::TermOp::kGe:
-        p.op = warehouse::rollup::PredInput::Op::kGe;
-        break;
-      case service::TermOp::kLe:
-        p.op = warehouse::rollup::PredInput::Op::kLe;
-        break;
-      case service::TermOp::kBetween:
-        p.op = warehouse::rollup::PredInput::Op::kBetween;
-        break;
-    }
-    p.column = t.column;
-    p.value = t.value;
-    p.lo = t.lo;
-    p.hi = t.hi;
-    in.where.push_back(std::move(p));
-  }
-  in.group_by = spec.group_by;
-  in.aggs = spec.aggs;
-  return in;
-}
-
-const char* const kDims[] = {"user", "app", "cluster"};
-
-struct BucketKey {
-  const char* name;
-  std::int64_t grain;
-};
-
-constexpr BucketKey kBucketKeys[] = {
-    {"day", 1}, {"week", 7}, {"month", 28}, {"quarter", 84}};
-
-const BucketKey* bucket_key(const std::string& name) {
-  for (const auto& b : kBucketKeys) {
-    if (name == b.name) return &b;
-  }
-  return nullptr;
-}
-
-}  // namespace
 
 ShardExecutor::ShardExecutor(std::string name, warehouse::Table jobs, Options opts)
     : name_(std::move(name)), jobs_(std::move(jobs)), opts_(std::move(opts)) {
@@ -105,160 +48,6 @@ ShardInfo ShardExecutor::info() const {
   return info;
 }
 
-wire::PartialMsg ShardExecutor::rollup_partial(const warehouse::rollup::Plan& plan) const {
-  // Serve the partial from level-0 (day) cells, whatever level the plan
-  // resolved: the coordinator folds day-level states, and a day cell is
-  // exactly the raw contract's micro-cell (rollup::serve reconstructs the
-  // same states; PR 8's differential suite pins that equivalence).
-  const warehouse::Table& t = rollups_->level(0);
-  const std::size_t naggs = plan.aggs.size();
-
-  wire::PartialMsg msg;
-  msg.rollup_served = true;
-  auto& p = msg.partial;
-  p.naggs = naggs;
-  for (const std::string& k : plan.group_by) {
-    p.key_schema.emplace_back(k, bucket_key(k) != nullptr ? warehouse::ColType::kInt64
-                                                          : warehouse::ColType::kString);
-  }
-
-  // Dim equality literals resolve to this shard's dictionary codes; a miss
-  // selects nothing (rows_scanned 0, the documented rollup accounting).
-  bool empty = false;
-  std::vector<std::pair<const std::int32_t*, std::int32_t>> dim_tests;
-  for (const auto& [col, val] : plan.dim_eq) {
-    const auto code = t.col(col).find_code(val);
-    if (!code) {
-      empty = true;
-      break;
-    }
-    dim_tests.emplace_back(t.col(col).codes().data(), *code);
-  }
-
-  const std::int64_t* bucket = t.col("bucket").int64s().data();
-  const std::int64_t* rows_col = t.col("rows").int64s().data();
-  const std::int64_t* min_jid = t.col("min_jobid").int64s().data();
-  const double* node_hours_sum = t.col("node_hours_sum").doubles().data();
-
-  struct MetricCols {
-    const double* sum = nullptr;
-    const double* mn = nullptr;
-    const double* mx = nullptr;
-    const double* wv = nullptr;
-  };
-  std::vector<MetricCols> agg_cols(naggs);
-  for (std::size_t a = 0; a < naggs; ++a) {
-    const warehouse::AggSpec& spec = plan.aggs[a];
-    if (spec.kind == warehouse::AggKind::kCount) continue;
-    agg_cols[a].sum = t.col(spec.column + "_sum").doubles().data();
-    agg_cols[a].mn = t.col(spec.column + "_min").doubles().data();
-    agg_cols[a].mx = t.col(spec.column + "_max").doubles().data();
-    agg_cols[a].wv = t.col(spec.column + "_wv").doubles().data();
-  }
-
-  struct KeyView {
-    const warehouse::Column* col = nullptr;  // dim (codes + decode)
-    std::int64_t grain = 0;                  // bucket key (days)
-  };
-  std::vector<KeyView> key_views;
-  for (const std::string& k : plan.group_by) {
-    KeyView v;
-    if (const BucketKey* b = bucket_key(k)) {
-      v.grain = b->grain;
-    } else {
-      v.col = &t.col(k);
-    }
-    key_views.push_back(v);
-  }
-  std::vector<const warehouse::Column*> extra_cols;
-  for (const char* d : kDims) {
-    if (std::find(plan.group_by.begin(), plan.group_by.end(), d) == plan.group_by.end()) {
-      extra_cols.push_back(&t.col(d));
-    }
-  }
-
-  // Select day cells and bucket them into tuples. Table order is (bucket
-  // ASC, min_jobid ASC), so each tuple's day list comes out ascending.
-  using Key = std::vector<std::int64_t>;
-  std::map<Key, std::size_t> tuple_lookup;
-  std::size_t selected = 0;
-  const std::size_t nrows = empty ? 0 : t.rows();
-  std::vector<warehouse::AggState> cell_states(naggs);
-  for (std::size_t r = 0; r < nrows; ++r) {
-    const std::int64_t b = bucket[r];
-    if (plan.has_lo && b < plan.d_lo) continue;
-    if (plan.has_hi && b > plan.d_hi) continue;
-    bool pass = true;
-    for (const auto& [codes, code] : dim_tests) {
-      if (codes[r] != code) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    ++selected;
-    Key key;
-    key.reserve(key_views.size() + extra_cols.size());
-    for (const KeyView& v : key_views) {
-      if (v.col != nullptr) {
-        key.push_back(v.col->codes().data()[r]);
-      } else {
-        key.push_back(warehouse::floor_div(b, v.grain) * v.grain * common::kDay);
-      }
-    }
-    for (const warehouse::Column* c : extra_cols) key.push_back(c->codes().data()[r]);
-
-    const auto [it, inserted] = tuple_lookup.emplace(std::move(key), p.tuples.size());
-    if (inserted) {
-      warehouse::partial::TuplePartial tp;
-      tp.group.reserve(key_views.size());
-      for (std::size_t k = 0; k < key_views.size(); ++k) {
-        const KeyView& v = key_views[k];
-        warehouse::partial::KeyValue kv;
-        if (v.col != nullptr) {
-          kv.type = warehouse::ColType::kString;
-          kv.str = std::string(v.col->decode(v.col->codes().data()[r]));
-        } else {
-          kv.type = warehouse::ColType::kInt64;
-          kv.i64 = warehouse::floor_div(b, v.grain) * v.grain * common::kDay;
-        }
-        tp.group.push_back(std::move(kv));
-      }
-      tp.extra.reserve(extra_cols.size());
-      for (const warehouse::Column* c : extra_cols) {
-        warehouse::partial::KeyValue kv;
-        kv.type = warehouse::ColType::kString;
-        kv.str = std::string(c->decode(c->codes().data()[r]));
-        tp.extra.push_back(std::move(kv));
-      }
-      tp.rank = min_jid[r];
-      p.tuples.push_back(std::move(tp));
-    }
-    warehouse::partial::TuplePartial& tp = p.tuples[it->second];
-    tp.rank = std::min(tp.rank, min_jid[r]);
-    tp.days.push_back(b);
-    for (std::size_t a = 0; a < naggs; ++a) {
-      warehouse::AggState& s = cell_states[a];
-      s = warehouse::AggState{};
-      s.n = rows_col[r];
-      if (plan.aggs[a].kind != warehouse::AggKind::kCount) {
-        s.sum = agg_cols[a].sum[r];
-        s.mn = agg_cols[a].mn[r];
-        s.mx = agg_cols[a].mx[r];
-        if (plan.aggs[a].kind == warehouse::AggKind::kWeightedMean) {
-          s.wsum = node_hours_sum[r];
-          s.wvsum = agg_cols[a].wv[r];
-        }
-      }
-      tp.states.push_back(s);
-    }
-  }
-
-  p.stats.rows_scanned = nrows;  // 0 on the dim-literal dictionary miss
-  p.stats.rows_matched = selected;
-  return msg;
-}
-
 wire::PartialMsg ShardExecutor::execute(const service::QuerySpec& spec,
                                         std::uint32_t deadline_ms,
                                         const std::string& rank_column) const {
@@ -273,8 +62,11 @@ wire::PartialMsg ShardExecutor::execute(const service::QuerySpec& spec,
   }
 
   if (rollups_ != nullptr) {
-    if (const auto plan = warehouse::rollup::subsume(rollup_input(spec))) {
-      return rollup_partial(*plan);
+    if (const auto plan = warehouse::rollup::subsume(service::to_rollup_input(spec))) {
+      wire::PartialMsg msg;
+      msg.rollup_served = true;
+      msg.partial = warehouse::rollup::serve_partial(*rollups_, *plan);
+      return msg;
     }
   }
 

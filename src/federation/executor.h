@@ -7,10 +7,12 @@
 // materializes its own RollupSet, and answers the same request language —
 // but it stops at the partial-aggregate boundary (warehouse/partial.h)
 // instead of folding to a final table, because the coordinator owns the
-// cross-shard fold. When its RollupSet subsumes a query, the shard serves
-// the partial straight from level-0 (day) rollup cells: a day cell IS the
-// micro-cell of the raw contract, so the rollup-served partial is bitwise
-// the partial a raw scan would have produced.
+// cross-shard fold. When its RollupSet subsumes a query, the shard answers
+// through rollup::serve_partial, which reads level-0 (day) rollup cells: a
+// day cell IS the micro-cell of the raw contract, so the rollup-served
+// partial is bitwise the partial a raw scan would have produced (same
+// tuples, ranks, day lists and state bits; only the stats differ, cells
+// vs rows — FederationFuzz.RollupServedShardsReportAndMatch pins it).
 #pragma once
 
 #include <cstdint>
@@ -63,8 +65,6 @@ class ShardExecutor {
   [[nodiscard]] std::string serve(std::string_view request) const;
 
  private:
-  [[nodiscard]] wire::PartialMsg rollup_partial(const warehouse::rollup::Plan& plan) const;
-
   std::string name_;
   warehouse::Table jobs_;
   std::unique_ptr<warehouse::rollup::RollupSet> rollups_;

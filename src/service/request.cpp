@@ -451,4 +451,27 @@ warehouse::Query compile(const QuerySpec& spec, const warehouse::Table& table) {
   return q;
 }
 
+warehouse::rollup::QueryInput to_rollup_input(const QuerySpec& spec) {
+  using Op = warehouse::rollup::PredInput::Op;
+  warehouse::rollup::QueryInput in;
+  in.where.reserve(spec.where.size());
+  for (const Term& t : spec.where) {
+    warehouse::rollup::PredInput p;
+    switch (t.op) {
+      case TermOp::kEq: p.op = Op::kEq; break;
+      case TermOp::kGe: p.op = Op::kGe; break;
+      case TermOp::kLe: p.op = Op::kLe; break;
+      case TermOp::kBetween: p.op = Op::kBetween; break;
+    }
+    p.column = t.column;
+    p.value = t.value;
+    p.lo = t.lo;
+    p.hi = t.hi;
+    in.where.push_back(std::move(p));
+  }
+  in.group_by = spec.group_by;
+  in.aggs = spec.aggs;
+  return in;
+}
+
 }  // namespace supremm::service

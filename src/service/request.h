@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "warehouse/query.h"
+#include "warehouse/rollup.h"
 #include "xdmod/realm.h"
 
 namespace supremm::service {
@@ -93,5 +94,10 @@ struct Request {
 /// mistyped columns, exactly as Query::run would.
 [[nodiscard]] warehouse::Query compile(const QuerySpec& spec,
                                        const warehouse::Table& table);
+
+/// The query form re-expressed for the rollup subsumption checker. Lossless:
+/// Term and rollup::PredInput have the same shape, so a query subsumes the
+/// same way at a service and at every federation shard.
+[[nodiscard]] warehouse::rollup::QueryInput to_rollup_input(const QuerySpec& spec);
 
 }  // namespace supremm::service

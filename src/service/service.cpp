@@ -24,32 +24,6 @@ double ms_between(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double, std::milli>(to - from).count();
 }
 
-// The compiled request terms, re-expressed for the rollup subsumption
-// checker. Lossless: Term and rollup::PredInput have the same shape.
-warehouse::rollup::QueryInput rollup_input(const QuerySpec& spec) {
-  warehouse::rollup::QueryInput in;
-  in.where.reserve(spec.where.size());
-  for (const Term& t : spec.where) {
-    warehouse::rollup::PredInput p;
-    switch (t.op) {
-      case TermOp::kEq: p.op = warehouse::rollup::PredInput::Op::kEq; break;
-      case TermOp::kGe: p.op = warehouse::rollup::PredInput::Op::kGe; break;
-      case TermOp::kLe: p.op = warehouse::rollup::PredInput::Op::kLe; break;
-      case TermOp::kBetween:
-        p.op = warehouse::rollup::PredInput::Op::kBetween;
-        break;
-    }
-    p.column = t.column;
-    p.value = t.value;
-    p.lo = t.lo;
-    p.hi = t.hi;
-    in.where.push_back(std::move(p));
-  }
-  in.group_by = spec.group_by;
-  in.aggs = spec.aggs;
-  return in;
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -313,22 +287,29 @@ void Service::publish_jobs(std::vector<etl::JobSummary> jobs,
   // (and fold order, hence float bits) for the same data.
   std::sort(jobs.begin(), jobs.end(),
             [](const etl::JobSummary& a, const etl::JobSummary& b) { return a.id < b.id; });
+  (void)add_jobs(*snap, jobs, std::nullopt);
+  publish_snapshot(std::move(snap));
+}
+
+bool Service::add_jobs(Snapshot& snap, std::span<const etl::JobSummary> jobs,
+                       std::optional<warehouse::rollup::RollupSet> maintained) const {
   warehouse::Table jt = archive::jobs_table(jobs);
   // Bucket columns and the time partition are part of the query surface and
   // fix the aggregation contract; they do not depend on whether rollups are
-  // built, so cfg_.rollups gates only the build (a null snap->rollups then
+  // built, so cfg_.rollups gates only the rollups (a null snap.rollups then
   // disables serving) and results stay identical either way.
   warehouse::rollup::augment_jobs_table(jt);
+  bool built = false;
   if (cfg_.rollups) {
-    snap->rollups = std::make_shared<const warehouse::rollup::RollupSet>(
-        warehouse::rollup::build_from_table(jt));
+    built = !maintained;
+    snap.rollups = std::make_shared<const warehouse::rollup::RollupSet>(
+        maintained ? std::move(*maintained) : warehouse::rollup::build_from_table(jt));
   }
   jt.rebuild_zone_index(archive::kDefaultChunkRows);
-  snap->tables.emplace(archive::kJobsTable,
-                       std::make_shared<const warehouse::Table>(std::move(jt)));
-  snap->realm = std::make_shared<const xdmod::JobsRealm>(
-      std::span<const etl::JobSummary>(jobs));
-  publish_snapshot(std::move(snap));
+  snap.tables.emplace(archive::kJobsTable,
+                      std::make_shared<const warehouse::Table>(std::move(jt)));
+  snap.realm = std::make_shared<const xdmod::JobsRealm>(jobs);
+  return built;
 }
 
 void Service::bind_archive(archive::Archive& ar) {
@@ -350,31 +331,19 @@ void Service::bind_archive(archive::Archive& ar) {
     }
     auto snap = std::make_shared<Snapshot>();
     snap->watermark = ar.watermark();
-    warehouse::Table jt = archive::jobs_table(loaded.result.jobs);
-    warehouse::rollup::augment_jobs_table(jt);
-    if (cfg_.rollups) {
-      // Prefer the archive's incrementally maintained cells; an archive that
-      // predates rollups (or whose rollup partitions failed verification)
-      // falls back to a from-scratch build over the loaded jobs. A load that
-      // quarantined partitions publishes a *partial* jobs table, while the
-      // maintained cells were folded from the full pre-corruption data —
-      // serving them would disagree with the raw scan over the very table
-      // being published, so rebuild from what actually loaded instead.
-      std::optional<warehouse::rollup::RollupSet> maintained;
-      if (loaded.quarantined.empty()) maintained = ar.load_rollups();
-      if (maintained) {
-        snap->rollups = std::make_shared<const warehouse::rollup::RollupSet>(
-            std::move(*maintained));
-      } else {
-        snap->rollups = std::make_shared<const warehouse::rollup::RollupSet>(
-            warehouse::rollup::build_from_table(jt));
-        std::lock_guard mlock(metrics_mu_);
-        ++counters_.rollup_rebuilds;
-      }
+    // Prefer the archive's incrementally maintained cells; an archive that
+    // predates rollups (or whose rollup partitions failed verification)
+    // falls back to a from-scratch build over the loaded jobs. A load that
+    // quarantined partitions publishes a *partial* jobs table, while the
+    // maintained cells were folded from the full pre-corruption data —
+    // serving them would disagree with the raw scan over the very table
+    // being published, so rebuild from what actually loaded instead.
+    std::optional<warehouse::rollup::RollupSet> maintained;
+    if (cfg_.rollups && loaded.quarantined.empty()) maintained = ar.load_rollups();
+    if (add_jobs(*snap, loaded.result.jobs, std::move(maintained))) {
+      std::lock_guard mlock(metrics_mu_);
+      ++counters_.rollup_rebuilds;
     }
-    jt.rebuild_zone_index(archive::kDefaultChunkRows);
-    snap->tables.emplace(archive::kJobsTable,
-                         std::make_shared<const warehouse::Table>(std::move(jt)));
     warehouse::Table st = archive::series_table(loaded.result.series);
     st.rebuild_zone_index(archive::kDefaultChunkRows);
     snap->tables.emplace(archive::kSeriesTable,
@@ -383,8 +352,6 @@ void Service::bind_archive(archive::Archive& ar) {
     qt.rebuild_zone_index(archive::kDefaultChunkRows);
     snap->tables.emplace(archive::kQualityTable,
                          std::make_shared<const warehouse::Table>(std::move(qt)));
-    snap->realm = std::make_shared<const xdmod::JobsRealm>(
-        std::span<const etl::JobSummary>(loaded.result.jobs));
     publish_snapshot(std::move(snap));
   };
   {
@@ -642,7 +609,7 @@ void Service::execute(Job& job) {
           // contract); everything else falls through to the scan unchanged.
           bool served = false;
           if (spec.table == archive::kJobsTable && job.snap->rollups) {
-            if (const auto plan = warehouse::rollup::subsume(rollup_input(spec))) {
+            if (const auto plan = warehouse::rollup::subsume(to_rollup_input(spec))) {
               warehouse::Table out =
                   warehouse::rollup::serve(*job.snap->rollups, *plan, &r.stats);
               r.table = std::make_shared<const warehouse::Table>(std::move(out));

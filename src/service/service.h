@@ -52,6 +52,8 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -365,6 +367,12 @@ class Service {
   void execute(Job& job);
   void finish(Job& job, Response r);
   void publish_snapshot(std::shared_ptr<Snapshot> snap);
+  /// Fill the jobs half of `snap` from summaries in ascending id order: the
+  /// augmented, zone-indexed jobs table, its realm and — when cfg_.rollups —
+  /// the `maintained` cells, or a from-scratch build without them. Returns
+  /// true when it built rollups from scratch.
+  bool add_jobs(Snapshot& snap, std::span<const etl::JobSummary> jobs,
+                std::optional<warehouse::rollup::RollupSet> maintained) const;
   [[nodiscard]] std::shared_ptr<const Snapshot> snapshot() const;
   /// One republish attempt; on failure records it and (re)enters degraded
   /// mode. Returns true when the service is healthy afterwards.

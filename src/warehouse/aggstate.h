@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/time.h"
@@ -94,6 +95,33 @@ inline void merge_states(AggState* into, const AggState* from, std::size_t n) {
       return static_cast<double>(s.n);
   }
   return 0.0;
+}
+
+/// Append one result column per aggregate to an output schema: count as
+/// int64, every other kind as double.
+inline void add_agg_columns(std::vector<std::pair<std::string, ColType>>& schema,
+                            const std::vector<AggSpec>& aggs) {
+  for (const AggSpec& a : aggs) {
+    schema.emplace_back(a.as.empty() ? default_agg_name(a) : a.as,
+                        a.kind == AggKind::kCount ? ColType::kInt64 : ColType::kDouble);
+  }
+}
+
+/// Write one result row's aggregate columns from its folded states
+/// (states[a] answers aggs[a]): count as int64 from s.n, every other kind
+/// through emit_agg. The one emission path of the engine, the rollup
+/// server and the federation merge.
+inline void set_aggs(Table::RowBuilder& row, const std::vector<AggSpec>& aggs,
+                     const AggState* states) {
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    const AggSpec& spec = aggs[a];
+    const std::string name = spec.as.empty() ? default_agg_name(spec) : spec.as;
+    if (spec.kind == AggKind::kCount) {
+      row.set(name, states[a].n);
+    } else {
+      row.set(name, emit_agg(spec.kind, states[a]));
+    }
+  }
 }
 
 // Rollup calendar. The simulated timeline has no real calendar, so the

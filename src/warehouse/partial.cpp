@@ -156,10 +156,7 @@ Table merge_partials(std::span<const Partial> parts, const std::vector<AggSpec>&
 
   // Emit the same "_agg" table shape a single-warehouse Query::run produces.
   std::vector<std::pair<std::string, ColType>> schema = first.key_schema;
-  for (const auto& a : aggs) {
-    schema.emplace_back(a.as.empty() ? default_agg_name(a) : a.as,
-                        a.kind == AggKind::kCount ? ColType::kInt64 : ColType::kDouble);
-  }
+  add_agg_columns(schema, aggs);
   Table out(out_name, std::move(schema));
   for (std::size_t g = 0; g < group_example.size(); ++g) {
     auto row = out.append();
@@ -179,31 +176,7 @@ Table merge_partials(std::span<const Partial> parts, const std::vector<AggSpec>&
           break;
       }
     }
-    for (std::size_t a = 0; a < naggs; ++a) {
-      const AggSpec& spec = aggs[a];
-      const AggState& s = group_states[g * naggs + a];
-      const std::string name = spec.as.empty() ? default_agg_name(spec) : spec.as;
-      switch (spec.kind) {
-        case AggKind::kSum:
-          row.set(name, canon_nan(s.sum));
-          break;
-        case AggKind::kMean:
-          row.set(name, s.n > 0 ? canon_nan(s.sum / static_cast<double>(s.n)) : 0.0);
-          break;
-        case AggKind::kWeightedMean:
-          row.set(name, s.wsum > 0.0 ? canon_nan(s.wvsum / s.wsum) : 0.0);
-          break;
-        case AggKind::kMax:
-          row.set(name, s.n > 0 ? s.mx : 0.0);
-          break;
-        case AggKind::kMin:
-          row.set(name, s.n > 0 ? s.mn : 0.0);
-          break;
-        case AggKind::kCount:
-          row.set(name, s.n);
-          break;
-      }
-    }
+    set_aggs(row, aggs, group_states.data() + g * naggs);
   }
   out.finalize_rows();
   if (stats != nullptr) *stats = total;

@@ -10,6 +10,7 @@
 
 #include "common/error.h"
 #include "common/pool.h"
+#include "common/rng.h"
 #include "common/simd.h"
 #include "warehouse/aggstate.h"
 #include "warehouse/kernels.h"
@@ -158,16 +159,11 @@ struct PackedKey {
   bool operator==(const PackedKey&) const = default;
 };
 
-struct PackedKeyHash {
-  std::size_t operator()(const PackedKey& k) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::uint64_t word : k.w) {
-      std::uint64_t z = h ^ word;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
+/// Hasher of the word-array keys (PackedKey, WideKey).
+struct KeyHash {
+  template <typename Key>
+  std::size_t operator()(const Key& k) const noexcept {
+    return common::WordsHash{}(k.w);
   }
 };
 
@@ -376,7 +372,7 @@ void radix_group_segment(SegmentPartial& part, const std::vector<KeyRef>& key_re
       }
     }
     keys[j] = key;
-    const std::uint64_t h = PackedKeyHash{}(key);
+    const std::uint64_t h = common::hash_words(key.w);
     hashes[j] = h;
     ++offsets[(h & (kRadixBuckets - 1)) + 1];
   }
@@ -451,19 +447,6 @@ struct WideKey {
   bool operator==(const WideKey&) const = default;
 };
 
-struct WideKeyHash {
-  std::size_t operator()(const WideKey& k) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::uint64_t word : k.w) {
-      std::uint64_t z = h ^ word;
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 std::uint64_t key_ref_word(const KeyRef& ref, std::uint32_t r) {
   switch (ref.type) {
     case ColType::kString:
@@ -481,6 +464,7 @@ std::uint64_t key_ref_word(const KeyRef& ref, std::uint32_t r) {
 /// list plus scan accounting.
 struct ScanResult {
   QueryStats st;
+  const kernels::KernelTable* kt = nullptr;  // ISA tier pinned for the whole run
   std::vector<std::uint32_t> matches;  // empty on the identity fast path
   bool identity = false;
   std::size_t total_matches = 0;
@@ -564,9 +548,9 @@ ScanResult scan_phase(const Table& table, const std::optional<RowPredicate>& pre
   // ISA tier pinned once per run. The AVX2 kernels gather through row
   // indices as signed 32-bit lanes, so a table past 2^31 rows takes the
   // scalar table — legal at any time because every tier is bit-identical.
-  const kernels::KernelTable& kt = nrows > (std::size_t{1} << 31)
-                                       ? kernels::table_for(common::simd::Tier::kScalar)
-                                       : kernels::active();
+  res.kt = nrows > (std::size_t{1} << 31) ? &kernels::table_for(common::simd::Tier::kScalar)
+                                          : &kernels::active();
+  const kernels::KernelTable& kt = *res.kt;
 
   // Per-run scan state, hoisted out of the pool workers: an equality literal
   // absent from its dictionary kills every chunk at once, and zone-map prune
@@ -677,6 +661,21 @@ KeyRef make_key_ref(const Column& c) {
   return ref;
 }
 
+std::vector<AggRef> make_agg_refs(const Table& table, const std::vector<AggSpec>& aggs) {
+  std::vector<AggRef> refs;
+  refs.reserve(aggs.size());
+  for (const auto& a : aggs) {
+    AggRef ref;
+    ref.kind = a.kind;
+    if (a.kind != AggKind::kCount) {
+      ref.value = numeric_ref(table.col(a.column));
+      if (a.kind == AggKind::kWeightedMean) ref.weight = numeric_ref(table.col(a.weight));
+    }
+    refs.push_back(ref);
+  }
+  return refs;
+}
+
 partial::KeyValue make_key_value(const Column& c, std::size_t r) {
   partial::KeyValue v;
   v.type = c.type();
@@ -730,17 +729,7 @@ Collected collect(const Table& table, const std::vector<std::string>& group_by,
   std::vector<KeyRef> key_refs;
   key_refs.reserve(group_by.size());
   for (const auto& k : group_by) key_refs.push_back(make_key_ref(table.col(k)));
-  std::vector<AggRef> agg_refs;
-  agg_refs.reserve(naggs);
-  for (const auto& a : aggs) {
-    AggRef ref;
-    ref.kind = a.kind;
-    if (a.kind != AggKind::kCount) {
-      ref.value = numeric_ref(table.col(a.column));
-      if (a.kind == AggKind::kWeightedMean) ref.weight = numeric_ref(table.col(a.weight));
-    }
-    agg_refs.push_back(ref);
-  }
+  const std::vector<AggRef> agg_refs = make_agg_refs(table, aggs);
 
   const Column& tp = table.col(table.time_partition());
   const std::int64_t* end_vals = tp.int64s().data();
@@ -774,7 +763,7 @@ Collected collect(const Table& table, const std::vector<std::string>& group_by,
     std::int64_t day = 0;
     std::int64_t rank = 0;  // min rank-column value over the cell's rows
   };
-  std::unordered_map<WideKey, std::uint32_t, WideKeyHash> cell_index;
+  std::unordered_map<WideKey, std::uint32_t, KeyHash> cell_index;
   std::vector<Cell> cells;              // first-seen order
   std::vector<AggState> cell_states;    // [cell * naggs + agg]
   for (std::size_t j = 0; j < total_matches; ++j) {
@@ -803,9 +792,9 @@ Collected collect(const Table& table, const std::vector<std::string>& group_by,
   struct Sub {
     std::vector<std::uint32_t> cells;
   };
-  std::unordered_map<WideKey, std::uint32_t, WideKeyHash> sub_index;  // words minus day
+  std::unordered_map<WideKey, std::uint32_t, KeyHash> sub_index;  // words minus day
   std::vector<Sub> subs;
-  std::unordered_map<PackedKey, std::uint32_t, PackedKeyHash> group_index;
+  std::unordered_map<PackedKey, std::uint32_t, KeyHash> group_index;
 
   Collected out;
   out.naggs = naggs;
@@ -899,44 +888,14 @@ Table Query::run() const {
   // (count as int64).
   std::vector<std::pair<std::string, ColType>> schema;
   for (const auto& k : keys_) schema.emplace_back(k, table_.col(k).type());
-  for (const auto& a : aggs_) {
-    schema.emplace_back(a.as.empty() ? default_agg_name(a) : a.as,
-                        a.kind == AggKind::kCount ? ColType::kInt64 : ColType::kDouble);
-  }
+  add_agg_columns(schema, aggs_);
   Table out(table_.name() + "_agg", std::move(schema));
 
   // --- plan: resolve every column reference once --------------------------
   std::vector<KeyRef> key_refs;
   key_refs.reserve(keys_.size());
-  for (const auto& k : keys_) {
-    const Column& c = table_.col(k);
-    KeyRef ref;
-    ref.type = c.type();
-    switch (c.type()) {
-      case ColType::kDouble:
-        ref.f64 = c.doubles().data();
-        break;
-      case ColType::kInt64:
-        ref.i64 = c.int64s().data();
-        break;
-      case ColType::kString:
-        ref.codes = c.codes().data();
-        break;
-    }
-    key_refs.push_back(ref);
-  }
-
-  std::vector<AggRef> agg_refs;
-  agg_refs.reserve(aggs_.size());
-  for (const auto& a : aggs_) {
-    AggRef ref;
-    ref.kind = a.kind;
-    if (a.kind != AggKind::kCount) {
-      ref.value = numeric_ref(table_.col(a.column));
-      if (a.kind == AggKind::kWeightedMean) ref.weight = numeric_ref(table_.col(a.weight));
-    }
-    agg_refs.push_back(ref);
-  }
+  for (const auto& k : keys_) key_refs.push_back(make_key_ref(table_.col(k)));
+  const std::vector<AggRef> agg_refs = make_agg_refs(table_, aggs_);
 
   // Cancellation safe point: polled once per scan chunk and once per
   // aggregation segment (coarse enough to stay off the per-row hot path).
@@ -955,13 +914,7 @@ Table Query::run() const {
   QueryStats st = scan.st;
   const std::size_t total_matches = scan.total_matches;
   const std::uint32_t* match_ptr = scan.identity ? nullptr : scan.matches.data();
-
-  // ISA tier pinned once per run. The AVX2 kernels gather through row
-  // indices as signed 32-bit lanes, so a table past 2^31 rows takes the
-  // scalar table — legal at any time because every tier is bit-identical.
-  const kernels::KernelTable& kt = nrows > (std::size_t{1} << 31)
-                                       ? kernels::table_for(common::simd::Tier::kScalar)
-                                       : kernels::active();
+  const kernels::KernelTable& kt = *scan.kt;
 
   // --- phase 2 ------------------------------------------------------------
   const std::size_t naggs = aggs_.size();
@@ -1046,7 +999,7 @@ Table Query::run() const {
 
   // --- merge partials in segment order (deterministic group order) --------
   check_cancel();
-  std::unordered_map<PackedKey, std::size_t, PackedKeyHash> groups;
+  std::unordered_map<PackedKey, std::size_t, KeyHash> groups;
   for (const auto& part : partials) {
     for (std::size_t g = 0; g < part.keys.size(); ++g) {
       const auto [it, inserted] = groups.emplace(part.keys[g], group_example_row.size());
@@ -1054,9 +1007,7 @@ Table Query::run() const {
         group_example_row.push_back(part.example_row[g]);
         states.resize(states.size() + naggs);
       }
-      AggState* into = states.data() + it->second * naggs;
-      const AggState* from = part.states.data() + g * naggs;
-      for (std::size_t a = 0; a < naggs; ++a) merge_state(into[a], from[a]);
+      merge_states(states.data() + it->second * naggs, part.states.data() + g * naggs, naggs);
     }
   }
   }  // end canonical segment contract
@@ -1079,31 +1030,7 @@ Table Query::run() const {
           break;
       }
     }
-    for (std::size_t a = 0; a < naggs; ++a) {
-      const AggSpec& spec = aggs_[a];
-      const AggState& s = states[g * naggs + a];
-      const std::string name = spec.as.empty() ? default_agg_name(spec) : spec.as;
-      switch (spec.kind) {
-        case AggKind::kSum:
-          row.set(name, canon_nan(s.sum));
-          break;
-        case AggKind::kMean:
-          row.set(name, s.n > 0 ? canon_nan(s.sum / static_cast<double>(s.n)) : 0.0);
-          break;
-        case AggKind::kWeightedMean:
-          row.set(name, s.wsum > 0.0 ? canon_nan(s.wvsum / s.wsum) : 0.0);
-          break;
-        case AggKind::kMax:
-          row.set(name, s.n > 0 ? s.mx : 0.0);
-          break;
-        case AggKind::kMin:
-          row.set(name, s.n > 0 ? s.mn : 0.0);
-          break;
-        case AggKind::kCount:
-          row.set(name, s.n);
-          break;
-      }
-    }
+    set_aggs(row, aggs_, states.data() + g * naggs);
   }
   stats_ = st;
   return out;

@@ -4,26 +4,28 @@
 #include <array>
 #include <cmath>
 #include <cstdlib>
-#include <limits>
-#include <map>
 #include <numeric>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "warehouse/aggstate.h"
 
 namespace supremm::warehouse::rollup {
 
 namespace {
 
+// The bucket calendar: per level its table, its grain and (parallel) the
+// jobs-table bucket-start column. The only place that names the buckets.
 constexpr Level kLevels[] = {
     {"rollup_day", 1},
     {"rollup_week", kDaysPerWeek},
     {"rollup_month", kDaysPerMonth},
     {"rollup_quarter", kDaysPerQuarter},
 };
+constexpr const char* kBucketColumns[] = {"day", "week", "month", "quarter"};
 
 constexpr const char* kMetrics[] = {
     "node_hours",          "nodes",
@@ -94,19 +96,6 @@ struct Cell {
   std::vector<AggState> m;  // [kNumMetrics]
 };
 
-struct CellKeyHash {
-  std::size_t operator()(const std::array<std::int64_t, 4>& k) const noexcept {
-    std::uint64_t h = 0x9e3779b97f4a7c15ull;
-    for (const std::int64_t word : k) {
-      std::uint64_t z = h ^ static_cast<std::uint64_t>(word);
-      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-      z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-      h = z ^ (z >> 31);
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
 /// Day cells of a jobs-shaped table, in canonical (day ASC, min_jobid ASC)
 /// order. Accumulation is purely sequential in row order — the exact
 /// per-cell partials the time-partitioned query contract produces.
@@ -119,7 +108,7 @@ std::vector<Cell> build_day_cells(const Table& jobs) {
   std::array<NumView, kNumMetrics> views;
   for (std::size_t i = 0; i < kNumMetrics; ++i) views[i] = num_view(jobs, kMetrics[i]);
 
-  std::unordered_map<std::array<std::int64_t, 4>, std::size_t, CellKeyHash> index;
+  std::unordered_map<std::array<std::int64_t, 4>, std::size_t, common::WordsHash> index;
   std::vector<Cell> cells;
   const std::size_t nrows = jobs.rows();
   for (std::size_t r = 0; r < nrows; ++r) {
@@ -161,7 +150,7 @@ std::vector<Cell> build_day_cells(const Table& jobs) {
 /// tree — NOT a flat left fold, so a month is its weeks' fold exactly as
 /// the query contract computes it and bit-identity holds at every level.
 std::vector<Cell> fold_level(const std::vector<Cell>& days, std::int64_t grain) {
-  std::unordered_map<std::array<std::int64_t, 4>, std::size_t, CellKeyHash> index;
+  std::unordered_map<std::array<std::int64_t, 4>, std::size_t, common::WordsHash> index;
   std::vector<std::vector<std::size_t>> members;  // day-cell indices, day ASC
   std::vector<Cell> out;
   for (std::size_t i = 0; i < days.size(); ++i) {
@@ -224,20 +213,6 @@ std::int64_t pos_mod(std::int64_t a, std::int64_t b) { return a - floor_div(a, b
 /// ceil(a / b) for b > 0.
 std::int64_t ceil_div(std::int64_t a, std::int64_t b) { return floor_div(a + b - 1, b); }
 
-struct BucketKey {
-  const char* column;
-  std::int64_t grain;
-};
-constexpr BucketKey kBucketKeys[] = {
-    {"day", 1}, {"week", kDaysPerWeek}, {"month", kDaysPerMonth}, {"quarter", kDaysPerQuarter}};
-
-const BucketKey* bucket_key(std::string_view name) {
-  for (const auto& b : kBucketKeys) {
-    if (name == b.column) return &b;
-  }
-  return nullptr;
-}
-
 bool is_dim(std::string_view name) {
   for (const char* d : kDims) {
     if (name == d) return true;
@@ -280,20 +255,25 @@ bool default_enabled() {
   return on;
 }
 
+std::optional<std::int64_t> bucket_grain(std::string_view column) {
+  for (std::size_t li = 0; li < std::size(kLevels); ++li) {
+    if (column == kBucketColumns[li]) return kLevels[li].grain;
+  }
+  return std::nullopt;
+}
+
 void augment_jobs_table(Table& jobs) {
   const auto ends = jobs.col("end").int64s();
-  const std::size_t n = ends.size();
-  std::array<std::vector<std::int64_t>, 4> cols;
-  for (auto& c : cols) c.reserve(n);
+  std::array<std::vector<std::int64_t>, std::size(kLevels)> cols;
+  for (auto& c : cols) c.reserve(ends.size());
   for (const std::int64_t end : ends) {
     const std::int64_t d = end_day_index(end);
-    cols[0].push_back(d * common::kDay);
-    cols[1].push_back(floor_div(d, kDaysPerWeek) * kDaysPerWeek * common::kDay);
-    cols[2].push_back(floor_div(d, kDaysPerMonth) * kDaysPerMonth * common::kDay);
-    cols[3].push_back(floor_div(d, kDaysPerQuarter) * kDaysPerQuarter * common::kDay);
+    for (std::size_t li = 0; li < cols.size(); ++li) {
+      cols[li].push_back(floor_div(d, kLevels[li].grain) * kLevels[li].grain * common::kDay);
+    }
   }
-  for (std::size_t i = 0; i < 4; ++i) {
-    jobs.add_int64_column(kBucketKeys[i].column, std::move(cols[i]));
+  for (std::size_t li = 0; li < cols.size(); ++li) {
+    jobs.add_int64_column(kBucketColumns[li], std::move(cols[li]));
   }
   jobs.set_time_partition("end", {"user", "app", "cluster"});
 }
@@ -328,7 +308,7 @@ std::optional<Plan> subsume(const QueryInput& q) {
   if (q.group_by.size() > 4) return std::nullopt;  // raw path owns the error
   for (std::size_t i = 0; i < q.group_by.size(); ++i) {
     const std::string& k = q.group_by[i];
-    if (!is_dim(k) && bucket_key(k) == nullptr) return std::nullopt;
+    if (!is_dim(k) && !bucket_grain(k)) return std::nullopt;
     for (std::size_t j = 0; j < i; ++j) {
       if (q.group_by[j] == k) return std::nullopt;  // duplicate key: raw error
     }
@@ -376,19 +356,19 @@ std::optional<Plan> subsume(const QueryInput& q) {
         (wants_hi && std::isinf(p.hi) && p.hi < 0)) {
       return std::nullopt;
     }
-    if (const BucketKey* b = bucket_key(p.column)) {
+    if (const auto grain = bucket_grain(p.column)) {
       // Bucket-start columns hold only multiples of grain*kDay, so ANY
       // bound selects whole buckets: round it to the nearest bucket edge.
-      const std::int64_t span = b->grain * common::kDay;
+      const std::int64_t span = *grain * common::kDay;
       if (wants_lo && !std::isinf(p.lo)) {
         const auto c = int_ceil(p.lo);
         if (!c) return std::nullopt;
-        narrow_lo(ceil_div(*c, span) * b->grain);
+        narrow_lo(ceil_div(*c, span) * *grain);
       }
       if (wants_hi && !std::isinf(p.hi)) {
         const auto f = int_floor(p.hi);
         if (!f) return std::nullopt;
-        narrow_hi((floor_div(*f, span) + 1) * b->grain - 1);
+        narrow_hi((floor_div(*f, span) + 1) * *grain - 1);
       }
       continue;
     }
@@ -419,7 +399,7 @@ std::optional<Plan> subsume(const QueryInput& q) {
     const std::int64_t L = kLevels[li].grain;
     bool ok = true;
     for (const std::string& k : plan.group_by) {
-      if (const BucketKey* b = bucket_key(k); b != nullptr && b->grain % L != 0) ok = false;
+      if (const auto grain = bucket_grain(k); grain && *grain % L != 0) ok = false;
     }
     if (plan.has_lo && pos_mod(plan.d_lo, L) != 0) ok = false;
     if (plan.has_hi && pos_mod(plan.d_hi + 1, L) != 0) ok = false;
@@ -431,97 +411,160 @@ std::optional<Plan> subsume(const QueryInput& q) {
   return std::nullopt;  // unreachable: level 0 (grain 1) always qualifies
 }
 
-Table serve(const RollupSet& rollups, const Plan& plan, QueryStats* stats) {
-  const Table& t = rollups.level(plan.level);
-  const std::int64_t grain = kLevels[plan.level].grain;
-  const std::size_t naggs = plan.aggs.size();
 
-  // Resolve dim equality literals to this table's dictionary codes; a
-  // literal absent from the dictionary selects nothing.
-  bool empty = false;
-  std::vector<std::pair<const std::int32_t*, std::int32_t>> dim_tests;
-  for (const auto& [col, val] : plan.dim_eq) {
-    const auto code = t.col(col).find_code(val);
-    if (!code) {
-      empty = true;
-      break;
-    }
-    dim_tests.emplace_back(t.col(col).codes().data(), *code);
+namespace {
+
+/// One unit-key column of a level table: a dimension reads its dictionary
+/// codes, a bucket key derives its bucket from the cell's bucket column.
+struct KeyView {
+  const Column* dim = nullptr;
+  const std::int32_t* codes = nullptr;  // dim
+  const std::int64_t* bucket = nullptr;  // bucket key
+  std::int64_t grain = 0;                // bucket key (days)
+
+  /// Unit-key word of cell r: the dim code, or the bucket index at grain.
+  [[nodiscard]] std::uint64_t word(std::size_t r) const {
+    if (codes != nullptr) return static_cast<std::uint32_t>(codes[r]);
+    return static_cast<std::uint64_t>(floor_div(bucket[r], grain));
   }
 
-  const std::int64_t* bucket = t.col("bucket").int64s().data();
-  const std::int64_t* rows_col = t.col("rows").int64s().data();
-  const std::int64_t* min_jid = t.col("min_jobid").int64s().data();
+  /// Output key value of cell r: the dim string, or the bucket start in
+  /// seconds.
+  [[nodiscard]] partial::KeyValue value(std::size_t r) const {
+    partial::KeyValue v;
+    if (dim != nullptr) {
+      v.type = ColType::kString;
+      v.str = std::string(dim->decode(codes[r]));
+    } else {
+      v.i64 = floor_div(bucket[r], grain) * grain * common::kDay;
+    }
+    return v;
+  }
+};
 
-  // Per agg: the metric column quartet it reconstructs its state from.
+constexpr std::size_t kMaxGroupWords = 4;
+constexpr std::size_t kMaxUnitWords = kMaxGroupWords + std::size(kDims);
+
+/// The plan's group keys, then the dimensions not already group keys.
+std::vector<KeyView> unit_views(const Table& t, const std::vector<std::string>& group_by) {
+  if (group_by.size() > kMaxGroupWords) {
+    throw common::InvalidArgument("rollup plan: more than 4 group keys");
+  }
+  std::vector<KeyView> views;
+  const std::int64_t* bucket = t.col("bucket").int64s().data();
+  const auto dim_view = [&t](std::string_view d) {
+    const Column& c = t.col(d);
+    return KeyView{&c, c.codes().data(), nullptr, 0};
+  };
+  for (const std::string& k : group_by) {
+    if (const auto grain = bucket_grain(k)) {
+      views.push_back(KeyView{nullptr, nullptr, bucket, *grain});
+    } else {
+      views.push_back(dim_view(k));
+    }
+  }
+  for (const char* d : kDims) {
+    if (std::find(group_by.begin(), group_by.end(), d) == group_by.end()) {
+      views.push_back(dim_view(d));
+    }
+  }
+  return views;
+}
+
+/// Rebuilds a cell's per-agg partial states from the level table's
+/// materialized columns (rows, m_sum/_min/_max/_wv, node_hours_sum).
+class CellReader {
+ public:
+  CellReader(const Table& t, const std::vector<AggSpec>& aggs)
+      : aggs_(aggs),
+        rows_(t.col("rows").int64s().data()),
+        node_hours_sum_(t.col("node_hours_sum").doubles().data()),
+        cols_(aggs.size()) {
+    for (std::size_t a = 0; a < aggs.size(); ++a) {
+      if (aggs[a].kind == AggKind::kCount) continue;
+      const std::string& m = aggs[a].column;
+      cols_[a] = {t.col(m + "_sum").doubles().data(), t.col(m + "_min").doubles().data(),
+                  t.col(m + "_max").doubles().data(), t.col(m + "_wv").doubles().data()};
+    }
+  }
+
+  /// The states of cell r into out[0, naggs).
+  void states(std::size_t r, AggState* out) const {
+    for (std::size_t a = 0; a < aggs_.size(); ++a) {
+      AggState& s = out[a];
+      s = AggState{};
+      s.n = rows_[r];
+      if (aggs_[a].kind == AggKind::kCount) continue;
+      const MetricCols& c = cols_[a];
+      s.sum = c.sum[r];
+      s.mn = c.mn[r];
+      s.mx = c.mx[r];
+      if (aggs_[a].kind == AggKind::kWeightedMean) {
+        s.wsum = node_hours_sum_[r];
+        s.wvsum = c.wv[r];
+      }
+    }
+  }
+
+ private:
   struct MetricCols {
     const double* sum = nullptr;
     const double* mn = nullptr;
     const double* mx = nullptr;
     const double* wv = nullptr;
   };
-  std::vector<MetricCols> agg_cols(naggs);
-  const double* node_hours_sum = t.col("node_hours_sum").doubles().data();
-  for (std::size_t a = 0; a < naggs; ++a) {
-    const AggSpec& spec = plan.aggs[a];
-    if (spec.kind == AggKind::kCount) continue;
-    agg_cols[a].sum = t.col(spec.column + "_sum").doubles().data();
-    agg_cols[a].mn = t.col(spec.column + "_min").doubles().data();
-    agg_cols[a].mx = t.col(spec.column + "_max").doubles().data();
-    agg_cols[a].wv = t.col(spec.column + "_wv").doubles().data();
-  }
+  const std::vector<AggSpec>& aggs_;
+  const std::int64_t* rows_;
+  const double* node_hours_sum_;
+  std::vector<MetricCols> cols_;
+};
 
-  // Group-key views: dims read codes, bucket keys derive their value from
-  // the cell's bucket start.
-  struct KeyView {
-    const std::int32_t* codes = nullptr;  // dim
-    std::int64_t grain = 0;               // bucket key (days)
-  };
-  std::vector<KeyView> key_views;
-  for (const std::string& k : plan.group_by) {
-    KeyView v;
-    if (const BucketKey* b = bucket_key(k)) {
-      v.grain = b->grain;
-    } else {
-      v.codes = t.col(k).codes().data();
-    }
-    key_views.push_back(v);
-  }
-  const auto key_value = [&](const KeyView& v, std::size_t r) -> std::int64_t {
-    if (v.codes != nullptr) return v.codes[r];
-    return floor_div(bucket[r], v.grain) * v.grain * common::kDay;
-  };
-
-  // Fold units are (group tuple, dim sub-tuple): the partition subkeys not
-  // already group keys extend the key, exactly as in the raw contract.
-  std::vector<const std::int32_t*> extra_codes;
-  for (const char* d : kDims) {
-    if (std::find(plan.group_by.begin(), plan.group_by.end(), d) == plan.group_by.end()) {
-      extra_codes.push_back(t.col(d).codes().data());
-    }
-  }
-
-  // Select cells and bucket them into (group, sub) units. Table order is
-  // (bucket ASC, min_jobid ASC), so each unit's cell list comes out in
-  // ascending bucket order, ready for the tree fold.
-  using Key = std::vector<std::int64_t>;
+/// The cells of one level table a plan selects, bucketed into fold units.
+/// A unit is (group tuple, dimension sub-tuple): the dimensions not already
+/// group keys extend the key, exactly as in the raw contract.
+struct Selection {
   struct Unit {
     std::size_t group = 0;
-    std::int64_t min_jobid = std::numeric_limits<std::int64_t>::max();
-    std::vector<std::size_t> cells;
+    std::int64_t min_jobid = 0;
+    std::vector<std::size_t> cells;  // level-table rows, bucket ascending
   };
   struct Group {
-    std::size_t example = 0;  // any selected cell of the group
-    std::int64_t min_jobid = std::numeric_limits<std::int64_t>::max();
-    std::vector<std::size_t> units;
+    std::size_t example = 0;  // first selected cell of the group
+    std::int64_t min_jobid = 0;
   };
-  std::map<Key, std::size_t> group_lookup;
-  std::map<Key, std::size_t> unit_lookup;
-  std::vector<Group> groups;
-  std::vector<Unit> units;
+  std::vector<KeyView> views;  // unit key: group keys, then the other dims
+  std::vector<Unit> units;      // first-seen table order
+  std::vector<Group> groups;    // first-seen table order
+  std::size_t rows_scanned = 0;  // 0 when a dim literal misses the dictionary
   std::size_t selected = 0;
-  const std::size_t nrows = empty ? 0 : t.rows();
-  for (std::size_t r = 0; r < nrows; ++r) {
+};
+
+/// Select the plan's cells of level table `t` (bucket grain `grain` days)
+/// and bucket them into units. Table order is (bucket ASC, min_jobid ASC),
+/// so each unit's cell list comes out in ascending bucket order, ready for
+/// the tree fold.
+Selection select_cells(const Table& t, std::int64_t grain, const Plan& plan) {
+  Selection sel;
+  sel.views = unit_views(t, plan.group_by);
+  const std::vector<KeyView>& views = sel.views;
+  // Dim equality literals resolve to this table's dictionary codes; a
+  // literal absent from the dictionary selects nothing.
+  std::vector<std::pair<const std::int32_t*, std::int32_t>> dim_tests;
+  for (const auto& [col, val] : plan.dim_eq) {
+    const auto code = t.col(col).find_code(val);
+    if (!code) return sel;
+    dim_tests.emplace_back(t.col(col).codes().data(), *code);
+  }
+
+  const std::int64_t* bucket = t.col("bucket").int64s().data();
+  const std::int64_t* min_jid = t.col("min_jobid").int64s().data();
+  const std::size_t ngroup = plan.group_by.size();
+  using UnitKey = std::array<std::uint64_t, kMaxUnitWords>;
+  using GroupKey = std::array<std::uint64_t, kMaxGroupWords>;
+  std::unordered_map<UnitKey, std::size_t, common::WordsHash> unit_index;
+  std::unordered_map<GroupKey, std::size_t, common::WordsHash> group_index;
+  sel.rows_scanned = t.rows();
+  for (std::size_t r = 0; r < sel.rows_scanned; ++r) {
     const std::int64_t b = bucket[r];
     if (plan.has_lo && b < plan.d_lo) continue;
     if (plan.has_hi && b + grain - 1 > plan.d_hi) continue;
@@ -533,104 +576,135 @@ Table serve(const RollupSet& rollups, const Plan& plan, QueryStats* stats) {
       }
     }
     if (!pass) continue;
-    ++selected;
-    Key gkey;
-    gkey.reserve(key_views.size());
-    for (const KeyView& v : key_views) gkey.push_back(key_value(v, r));
-    Key ukey = gkey;
-    for (const std::int32_t* codes : extra_codes) ukey.push_back(codes[r]);
-    const auto [git, ginserted] = group_lookup.emplace(std::move(gkey), groups.size());
-    if (ginserted) groups.push_back(Group{r, min_jid[r], {}});
-    Group& g = groups[git->second];
-    g.min_jobid = std::min(g.min_jobid, min_jid[r]);
-    const auto [uit, uinserted] = unit_lookup.emplace(std::move(ukey), units.size());
+    ++sel.selected;
+    UnitKey key{};
+    for (std::size_t k = 0; k < views.size(); ++k) key[k] = views[k].word(r);
+    const auto [uit, uinserted] = unit_index.emplace(key, sel.units.size());
     if (uinserted) {
-      units.push_back(Unit{git->second, min_jid[r], {}});
-      g.units.push_back(uit->second);
+      GroupKey gkey{};
+      std::copy_n(key.begin(), ngroup, gkey.begin());
+      const auto [git, ginserted] = group_index.emplace(gkey, sel.groups.size());
+      if (ginserted) sel.groups.push_back({r, min_jid[r]});
+      sel.units.push_back({git->second, min_jid[r], {}});
     }
-    Unit& u = units[uit->second];
+    Selection::Unit& u = sel.units[uit->second];
     u.min_jobid = std::min(u.min_jobid, min_jid[r]);
     u.cells.push_back(r);
   }
+  for (const Selection::Unit& u : sel.units) {
+    Selection::Group& g = sel.groups[u.group];
+    g.min_jobid = std::min(g.min_jobid, u.min_jobid);
+  }
+  return sel;
+}
 
-  // Per unit: reconstruct each cell's per-agg states and tree-fold them.
-  std::vector<AggState> unit_states(units.size() * naggs);
+/// Output key columns: bucket keys are int64 bucket starts, dims strings.
+std::vector<std::pair<std::string, ColType>> key_schema(const std::vector<std::string>& group_by) {
+  std::vector<std::pair<std::string, ColType>> schema;
+  for (const std::string& k : group_by) {
+    schema.emplace_back(k, bucket_grain(k) ? ColType::kInt64 : ColType::kString);
+  }
+  return schema;
+}
+
+}  // namespace
+
+Table serve(const RollupSet& rollups, const Plan& plan, QueryStats* stats) {
+  const Table& t = rollups.level(plan.level);
+  const std::size_t naggs = plan.aggs.size();
+  const Selection sel = select_cells(t, kLevels[plan.level].grain, plan);
+
+  // Per unit: rebuild each cell's states and tree-fold them.
+  const CellReader reader(t, plan.aggs);
+  const std::int64_t* bucket = t.col("bucket").int64s().data();
+  std::vector<AggState> unit_states(sel.units.size() * naggs);
   std::vector<AggState> cell_states(naggs);
-  for (std::size_t u = 0; u < units.size(); ++u) {
+  std::vector<std::vector<std::size_t>> group_units(sel.groups.size());
+  for (std::size_t u = 0; u < sel.units.size(); ++u) {
     TimeTreeFold fold(unit_states.data() + u * naggs, naggs);
-    for (const std::size_t r : units[u].cells) {
-      for (std::size_t a = 0; a < naggs; ++a) {
-        AggState& s = cell_states[a];
-        s = AggState{};
-        s.n = rows_col[r];
-        if (plan.aggs[a].kind == AggKind::kCount) continue;
-        s.sum = agg_cols[a].sum[r];
-        s.mn = agg_cols[a].mn[r];
-        s.mx = agg_cols[a].mx[r];
-        if (plan.aggs[a].kind == AggKind::kWeightedMean) {
-          s.wsum = node_hours_sum[r];
-          s.wvsum = agg_cols[a].wv[r];
-        }
-      }
+    for (const std::size_t r : sel.units[u].cells) {
+      reader.states(r, cell_states.data());
       fold.add(bucket[r], cell_states.data());
     }
     fold.finish();
+    group_units[sel.units[u].group].push_back(u);
   }
 
   // Contract emission order: groups by first match = ascending min job id;
   // within a group, sub-tuples merge in the same order.
-  std::vector<std::size_t> group_order(groups.size());
+  std::vector<std::size_t> group_order(sel.groups.size());
   std::iota(group_order.begin(), group_order.end(), std::size_t{0});
-  std::sort(group_order.begin(), group_order.end(), [&groups](std::size_t a, std::size_t b) {
-    return groups[a].min_jobid < groups[b].min_jobid;
+  std::sort(group_order.begin(), group_order.end(), [&sel](std::size_t a, std::size_t b) {
+    return sel.groups[a].min_jobid < sel.groups[b].min_jobid;
   });
 
-  std::vector<std::pair<std::string, ColType>> schema;
-  for (const std::string& k : plan.group_by) {
-    schema.emplace_back(k, bucket_key(k) != nullptr ? ColType::kInt64 : ColType::kString);
-  }
-  for (const AggSpec& a : plan.aggs) {
-    schema.emplace_back(a.as.empty() ? default_agg_name(a) : a.as,
-                        a.kind == AggKind::kCount ? ColType::kInt64 : ColType::kDouble);
-  }
+  std::vector<std::pair<std::string, ColType>> schema = key_schema(plan.group_by);
+  add_agg_columns(schema, plan.aggs);
   Table out("jobs_agg", std::move(schema));
   std::vector<AggState> gstates(naggs);
   for (const std::size_t gi : group_order) {
-    Group& g = groups[gi];
-    std::sort(g.units.begin(), g.units.end(), [&units](std::size_t a, std::size_t b) {
-      return units[a].min_jobid < units[b].min_jobid;
+    std::vector<std::size_t>& units = group_units[gi];
+    std::sort(units.begin(), units.end(), [&sel](std::size_t a, std::size_t b) {
+      return sel.units[a].min_jobid < sel.units[b].min_jobid;
     });
     std::fill(gstates.begin(), gstates.end(), AggState{});
-    for (const std::size_t u : g.units) {
+    for (const std::size_t u : units) {
       merge_states(gstates.data(), unit_states.data() + u * naggs, naggs);
     }
     auto row = out.append();
     for (std::size_t k = 0; k < plan.group_by.size(); ++k) {
-      const KeyView& v = key_views[k];
-      if (v.codes != nullptr) {
-        row.set(plan.group_by[k],
-                t.col(plan.group_by[k]).decode(v.codes[g.example]));
+      const partial::KeyValue v = sel.views[k].value(sel.groups[gi].example);
+      if (v.type == ColType::kString) {
+        row.set(plan.group_by[k], v.str);
       } else {
-        row.set(plan.group_by[k], key_value(v, g.example));
+        row.set(plan.group_by[k], v.i64);
       }
     }
-    for (std::size_t a = 0; a < naggs; ++a) {
-      const AggSpec& spec = plan.aggs[a];
-      const std::string name = spec.as.empty() ? default_agg_name(spec) : spec.as;
-      if (spec.kind == AggKind::kCount) {
-        row.set(name, gstates[a].n);
-      } else {
-        row.set(name, emit_agg(spec.kind, gstates[a]));
-      }
-    }
+    set_aggs(row, plan.aggs, gstates.data());
   }
 
   if (stats != nullptr) {
     *stats = QueryStats{};
-    stats->rows_scanned = nrows;  // 0 on the dim-literal dictionary miss
-    stats->rows_matched = selected;
+    stats->rows_scanned = sel.rows_scanned;
+    stats->rows_matched = sel.selected;
   }
   return out;
+}
+
+partial::Partial serve_partial(const RollupSet& rollups, const Plan& plan) {
+  // Level-0 (day) cells whatever level the plan resolved: the coordinator
+  // folds day-level states, and a coarser cell can straddle a shard's time
+  // split. A day cell IS the raw contract's micro-cell, so each tuple's
+  // states are the ones a raw scan of this shard would have collected.
+  const Table& t = rollups.level(0);
+  const std::size_t naggs = plan.aggs.size();
+  const Selection sel = select_cells(t, kLevels[0].grain, plan);
+  const CellReader reader(t, plan.aggs);
+  const std::int64_t* bucket = t.col("bucket").int64s().data();
+
+  partial::Partial p;
+  p.naggs = naggs;
+  p.key_schema = key_schema(plan.group_by);
+  p.tuples.reserve(sel.units.size());
+  for (const Selection::Unit& u : sel.units) {
+    partial::TuplePartial& tp = p.tuples.emplace_back();
+    const std::size_t r0 = u.cells.front();
+    tp.group.reserve(plan.group_by.size());
+    tp.extra.reserve(sel.views.size() - plan.group_by.size());
+    for (std::size_t k = 0; k < sel.views.size(); ++k) {
+      (k < plan.group_by.size() ? tp.group : tp.extra).push_back(sel.views[k].value(r0));
+    }
+    tp.rank = u.min_jobid;
+    tp.days.reserve(u.cells.size());
+    tp.states.resize(u.cells.size() * naggs);
+    for (std::size_t i = 0; i < u.cells.size(); ++i) {
+      tp.days.push_back(bucket[u.cells[i]]);
+      reader.states(u.cells[i], tp.states.data() + i * naggs);
+    }
+  }
+  p.stats.rows_scanned = sel.rows_scanned;
+  p.stats.rows_matched = sel.selected;
+  return p;
 }
 
 }  // namespace supremm::warehouse::rollup

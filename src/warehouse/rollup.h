@@ -8,6 +8,11 @@
 // bit-identical to the raw scan at every thread count and SIMD tier. The
 // subsumption checker decides which queries that covers; everything else
 // falls back to the raw path unchanged.
+//
+// This module is the only reader of rollup cells and the only owner of the
+// bucket calendar (bucket_grain). serve() answers a local query and
+// serve_partial() a federation shard's; both select cells and rebuild
+// their states through one routine in rollup.cpp.
 #pragma once
 
 #include <cstdint>
@@ -17,6 +22,7 @@
 #include <string_view>
 #include <vector>
 
+#include "warehouse/partial.h"
 #include "warehouse/query.h"
 #include "warehouse/table.h"
 
@@ -45,6 +51,10 @@ struct Level {
 /// "0", true otherwise. Read once per process; an explicit assignment to
 /// either field wins. An instance serves from rollups iff it built them.
 [[nodiscard]] bool default_enabled();
+
+/// Days per bucket of a bucket-start column ("day" 1, "week" 7, "month" 28,
+/// "quarter" 84); nullopt for any other column.
+[[nodiscard]] std::optional<std::int64_t> bucket_grain(std::string_view column);
 
 /// Derive the bucket-start columns ("day", "week", "month", "quarter", in
 /// seconds) from the "end" column and declare the table time-partitioned on
@@ -114,5 +124,14 @@ struct Plan {
 /// examined (0 when a dim equality literal misses the level dictionary and
 /// selection short-circuits), rows_matched = cells selected, chunks 0/0.
 [[nodiscard]] Table serve(const RollupSet& rollups, const Plan& plan, QueryStats* stats);
+
+/// A federation shard's answer to a subsumed query: the day-level partial
+/// (warehouse/partial.h) read from level-0 cells whatever plan.level is —
+/// one tuple per (group, dimension sub-tuple) in first-seen cell order,
+/// rank = its minimum job id, one state set per day cell. Bitwise the
+/// partial a raw scan of the same rows produces (Query::run_partial with
+/// rank column job_id), up to tuple order. Stats as serve() documents, over
+/// the level-0 table.
+[[nodiscard]] partial::Partial serve_partial(const RollupSet& rollups, const Plan& plan);
 
 }  // namespace supremm::warehouse::rollup

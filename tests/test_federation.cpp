@@ -7,6 +7,8 @@
 // sourced error, never a crash.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -144,6 +146,40 @@ wh::AggSpec agg(wh::AggKind kind, std::string column = {}) {
   return a;
 }
 
+/// Bitwise equality of two shard partials' tuples, compared in rank order
+/// (the rollup-served partial lists tuples in cell order, the scan in match
+/// order). Stats are not compared: a rollup partial counts cells, a scan rows.
+void expect_partials_identical(wh::partial::Partial a, wh::partial::Partial b) {
+  ASSERT_EQ(a.key_schema, b.key_schema);
+  ASSERT_EQ(a.naggs, b.naggs);
+  ASSERT_EQ(a.tuples.size(), b.tuples.size());
+  const auto by_rank = [](const wh::partial::TuplePartial& x,
+                          const wh::partial::TuplePartial& y) { return x.rank < y.rank; };
+  std::sort(a.tuples.begin(), a.tuples.end(), by_rank);
+  std::sort(b.tuples.begin(), b.tuples.end(), by_rank);
+  const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (std::size_t i = 0; i < a.tuples.size(); ++i) {
+    const wh::partial::TuplePartial& x = a.tuples[i];
+    const wh::partial::TuplePartial& y = b.tuples[i];
+    SCOPED_TRACE("tuple rank " + std::to_string(x.rank));
+    EXPECT_EQ(x.group, y.group);
+    EXPECT_EQ(x.extra, y.extra);
+    EXPECT_EQ(x.rank, y.rank);
+    EXPECT_EQ(x.days, y.days);
+    ASSERT_EQ(x.states.size(), y.states.size());
+    for (std::size_t k = 0; k < x.states.size(); ++k) {
+      const wh::AggState& u = x.states[k];
+      const wh::AggState& v = y.states[k];
+      EXPECT_EQ(bits(u.sum), bits(v.sum)) << "state " << k;
+      EXPECT_EQ(bits(u.wsum), bits(v.wsum)) << "state " << k;
+      EXPECT_EQ(bits(u.wvsum), bits(v.wvsum)) << "state " << k;
+      EXPECT_EQ(bits(u.mn), bits(v.mn)) << "state " << k;
+      EXPECT_EQ(bits(u.mx), bits(v.mx)) << "state " << k;
+      EXPECT_EQ(u.n, v.n) << "state " << k;
+    }
+  }
+}
+
 std::string request_bytes(const sv::QuerySpec& spec) {
   return wire::frame(wire::MsgType::kHello, wire::pack_hello({"test-client"})) +
          wire::frame(wire::MsgType::kQuery, wire::pack_query({spec, 0, "job_id"}));
@@ -220,6 +256,17 @@ TEST(FederationFuzz, RollupServedShardsReportAndMatch) {
     if (all && any) ++served_queries;
     for (const sv::RemoteShardReport& s : b.shards) {
       EXPECT_FALSE(s.rollup_served) << s.shard;
+    }
+    // Partial level: each shard's rollup-served partial is bitwise the
+    // partial a raw scan of the same slice produces.
+    if (!(all && any)) continue;
+    for (std::size_t i = 0; i < slices.size(); ++i) {
+      SCOPED_TRACE("shard " + std::to_string(i));
+      const wire::PartialMsg on = with.executors[i]->execute(spec, 0, "job_id");
+      const wire::PartialMsg off = without.executors[i]->execute(spec, 0, "job_id");
+      ASSERT_TRUE(on.rollup_served);
+      ASSERT_FALSE(off.rollup_served);
+      expect_partials_identical(on.partial, off.partial);
     }
   }
   EXPECT_GE(served_queries, 10u);

@@ -630,6 +630,12 @@ TEST(RollupServe, DictionaryMissShortCircuitsWithZeroScanned) {
   EXPECT_EQ(stats.rows_scanned, 0u);  // zero cells were examined on the miss
   EXPECT_EQ(stats.rows_matched, 0u);
 
+  // The shard reader short-circuits the same way.
+  const wh::partial::Partial part = ru::serve_partial(fuzz_rollups(), *plan);
+  EXPECT_TRUE(part.tuples.empty());
+  EXPECT_EQ(part.stats.rows_scanned, 0u);
+  EXPECT_EQ(part.stats.rows_matched, 0u);
+
   // The raw scan agrees on the (empty) answer.
   tk::QuerySpec spec;
   spec.has_where = true;
