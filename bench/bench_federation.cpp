@@ -4,8 +4,10 @@
 // first gates on in-bench bit-identity — every merged scatter-gather answer
 // must equal the single-warehouse engine bit-for-bit at every shard count —
 // then measures coordinator-observed latency of a federated query mix per
-// shard count against the single-warehouse baseline, plus the wire cost
-// (partial bytes shipped per query). Results go to BENCH_federation.json.
+// shard count against the single-warehouse baseline, the wire cost
+// (partial bytes shipped per query), and the median time of each stage —
+// shard execute, pack+frame, unpack, merge. Results go to
+// BENCH_federation.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -21,6 +23,7 @@
 #include "federation/wire.h"
 #include "testkit/genrequest.h"
 #include "testkit/oracle.h"
+#include "warehouse/partial.h"
 
 namespace {
 
@@ -83,6 +86,53 @@ FedBench make_fed(const std::vector<etl::JobSummary>& jobs, std::size_t nshards)
     f.executors.push_back(std::move(ex));
   }
   return f;
+}
+
+/// Median per-query time of each stage of a scatter-gather, run serially
+/// stage by stage through the same calls the shard and the coordinator
+/// make. A query's stage time sums its contacted shards (the live
+/// federation overlaps them on one thread per shard).
+struct StageMedians {
+  double execute_ms = 0.0;     // ShardExecutor::execute
+  double pack_frame_ms = 0.0;  // pack_partial + frame
+  double unpack_ms = 0.0;      // read_frame + unpack_partial
+  double merge_ms = 0.0;       // merge_partials
+};
+
+constexpr int kStagePasses = 5;
+
+StageMedians stage_medians(const FedBench& f, const ParsedMix& mix) {
+  namespace wire = federation::wire;
+  std::vector<double> execute, pack_frame, unpack, merge;
+  for (int it = 0; it < kStagePasses; ++it) {
+    for (const service::QuerySpec& spec : mix.specs) {
+      std::vector<std::size_t> contacted = f.fed->catalog().prune(spec);
+      if (contacted.empty()) contacted.push_back(0);
+      double ex_ms = 0.0, pf_ms = 0.0, un_ms = 0.0;
+      std::vector<warehouse::partial::Partial> parts;
+      for (const std::size_t shard : contacted) {
+        auto t = std::chrono::steady_clock::now();
+        const wire::PartialMsg msg = f.executors[shard]->execute(spec, 0, "job_id");
+        ex_ms += seconds_since(t) * 1e3;
+        t = std::chrono::steady_clock::now();
+        const std::string framed = wire::frame(wire::MsgType::kPartial, wire::pack_partial(msg));
+        pf_ms += seconds_since(t) * 1e3;
+        t = std::chrono::steady_clock::now();
+        std::size_t offset = 0;
+        parts.push_back(wire::unpack_partial(wire::read_frame(framed, offset).payload).partial);
+        un_ms += seconds_since(t) * 1e3;
+      }
+      const auto t = std::chrono::steady_clock::now();
+      const warehouse::Table merged =
+          warehouse::partial::merge_partials(parts, spec.aggs, spec.table + "_agg");
+      merge.push_back(seconds_since(t) * 1e3);
+      execute.push_back(ex_ms);
+      pack_frame.push_back(pf_ms);
+      unpack.push_back(un_ms);
+    }
+  }
+  return {bench::median_of(execute), bench::median_of(pack_frame), bench::median_of(unpack),
+          bench::median_of(merge)};
 }
 
 }  // namespace
@@ -187,10 +237,15 @@ int main() {
       }
     }
 
+    const StageMedians st = stage_medians(f, mix);
+
     std::printf("[scatter] %zu shards: p50 %8.3f ms  p99 %8.3f ms  "
                 "(vs baseline p50 %.2fx, prune rate %.2f, %zu partial bytes/pass)\n",
                 nshards, p50, p99, p50 > 0 ? base_p50 / p50 : 0.0, prune_rate,
                 wire_bytes);
+    std::printf("[stages]  %zu shards: execute %.3f ms  pack+frame %.3f ms  unpack %.3f ms  "
+                "merge %.3f ms (medians per query, summed over contacted shards)\n",
+                nshards, st.execute_ms, st.pack_frame_ms, st.unpack_ms, st.merge_ms);
     json.record("scatter_gather")
         .num("shards", static_cast<double>(nshards))
         .num("build_s", build_s)
@@ -198,7 +253,11 @@ int main() {
         .num("p99_ms", p99)
         .num("p50_vs_baseline", base_p50 > 0 ? p50 / base_p50 : 0.0)
         .num("prune_rate", prune_rate)
-        .num("partial_bytes_per_pass", static_cast<double>(wire_bytes));
+        .num("partial_bytes_per_pass", static_cast<double>(wire_bytes))
+        .num("execute_ms_p50", st.execute_ms)
+        .num("pack_frame_ms_p50", st.pack_frame_ms)
+        .num("unpack_ms_p50", st.unpack_ms)
+        .num("merge_ms_p50", st.merge_ms);
   }
 
   json.write("BENCH_federation.json");

@@ -1,13 +1,14 @@
 // Microbenchmarks for the SIMD kernel layer (src/warehouse/kernels.h,
 // common/simd.h; DESIGN.md §15): per-ISA-tier rows/s for the predicate
 // filter/refine kernels, the lane-8 aggregation kernels, the XOR-delta
-// double codec, and LZSS compression with the vector match scanner. Each
-// kernel's output is byte-compared against the scalar tier before timing —
+// double codec, LZSS compression with the vector match scanner, and the
+// sliced CRC-32 of the archive and the shard wire. Each kernel's output is
+// byte-compared against the scalar tier (CRC-32: a bytewise reference)
+// before timing —
 // a divergence writes "bit_identical": 0 into BENCH_kernels.json, which
 // scripts/check.sh treats as a failure. Speedups are best-of-reps over a
 // cache-resident working set, so they measure kernel arithmetic, not DRAM.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "bench_common.h"
+#include "common/checksum.h"
 #include "common/simd.h"
 #include "compress/lzss.h"
 #include "warehouse/kernels.h"
@@ -27,7 +29,6 @@ namespace {
 using namespace supremm;
 namespace simd = common::simd;
 namespace kernels = warehouse::kernels;
-using bench::seconds_since;
 
 constexpr std::size_t kRows = 1 << 16;  // 512 KB of doubles: L2-resident
 constexpr int kIters = 100;             // calls per timed rep
@@ -260,12 +261,7 @@ int main() {
       const bool identical = tc.tier == simd::Tier::kScalar || d == ref;
       if (tc.tier == simd::Tier::kScalar) ref = d;
       all_identical = all_identical && identical;
-      double best = std::numeric_limits<double>::infinity();
-      for (int r = 0; r < kReps; ++r) {
-        const auto t0 = std::chrono::steady_clock::now();
-        const std::string c = compress::compress(lz);
-        best = std::min(best, seconds_since(t0));
-      }
+      const double best = bench::time_call(kReps, 1, [&] { (void)compress::compress(lz); });
       if (tc.tier == simd::Tier::kScalar) scalar_sec = best;
       const double mbs = static_cast<double>(lz.size()) / (1024.0 * 1024.0) / best;
       json.record("lzss_compress")
@@ -279,6 +275,40 @@ int main() {
   }
 
   simd::set_tier(simd::hardware_tier());
+
+  // CRC-32 (slicing-by-8) over a buffer the size of a shard's partial frame
+  // (704 KiB): one implementation for every tier, checked against an
+  // in-bench byte-at-a-time table reference (the classic single-table loop);
+  // its speedup is over that reference.
+  {
+    const std::string buf = bytes_of(vals.data(), kRows * 8) + bytes_of(weights.data(), kRows * 3);
+    std::uint32_t table[256];
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      std::uint32_t c = n;
+      for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      table[n] = c;
+    }
+    const auto bytewise = [&buf, &table] {
+      std::uint32_t c = 0xffffffffu;
+      for (const char ch : buf) c = table[(c ^ static_cast<std::uint8_t>(ch)) & 0xffu] ^ (c >> 8);
+      return c ^ 0xffffffffu;
+    };
+    volatile std::uint32_t sink = 0;
+    const double ref_sec = bench::time_call(kReps, kIters / 10, [&] { sink = bytewise(); });
+    const std::uint32_t ref = sink;
+    const double sec = bench::time_call(kReps, kIters, [&] { sink = common::crc32(buf); });
+    const bool identical = sink == ref;
+    all_identical = all_identical && identical;
+    const double mbs = static_cast<double>(buf.size()) / (1024.0 * 1024.0) / sec;
+    json.record("crc32")
+        .str("tier", "any")
+        .num("mb_s", mbs)
+        .num("speedup_vs_scalar", ref_sec / sec)
+        .num("bit_identical", identical ? 1.0 : 0.0);
+    std::printf("[%-18s] %-6s %10.1f MB/s     %5.2fx  %s (vs bytewise reference)\n", "crc32",
+                "any", mbs, ref_sec / sec, identical ? "bits ok" : "BIT DIVERGENCE");
+  }
+
   json.write("BENCH_kernels.json");
   if (!all_identical) {
     std::fprintf(stderr, "FATAL: at least one kernel diverged from the scalar tier\n");

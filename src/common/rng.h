@@ -11,6 +11,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -24,12 +25,12 @@ namespace supremm::common {
   return x ^ (x >> 31);
 }
 
-/// Hash of a fixed-width key tuple: each word (as uint64) xors into the
-/// running value, which then takes the SplitMix64 finalizer. The one key
-/// hash of the warehouse's fixed-width hash maps (packed group keys,
-/// micro-cell keys, rollup cell and unit keys).
-template <typename Word, std::size_t N>
-[[nodiscard]] constexpr std::uint64_t hash_words(const std::array<Word, N>& words) noexcept {
+/// Hash of a key tuple: each word (as uint64) xors into the running value,
+/// which then takes the SplitMix64 finalizer. The one key hash of the
+/// warehouse's word-keyed hash tables (packed group keys, micro-cell keys,
+/// rollup cell and unit keys), for fixed- and run-time-width keys alike.
+template <typename Word>
+[[nodiscard]] constexpr std::uint64_t hash_words(std::span<const Word> words) noexcept {
   std::uint64_t h = 0x9e3779b97f4a7c15ULL;
   for (const Word word : words) {
     std::uint64_t z = h ^ static_cast<std::uint64_t>(word);
@@ -38,6 +39,11 @@ template <typename Word, std::size_t N>
     h = z ^ (z >> 31);
   }
   return h;
+}
+
+template <typename Word, std::size_t N>
+[[nodiscard]] constexpr std::uint64_t hash_words(const std::array<Word, N>& words) noexcept {
+  return hash_words(std::span<const Word>(words));
 }
 
 /// std::unordered_map hasher for std::array keys, through hash_words.

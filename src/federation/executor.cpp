@@ -11,6 +11,21 @@
 
 namespace supremm::federation {
 
+namespace {
+
+/// The response conversation: hello-ack, then one partial or error frame,
+/// framed into a single buffer sized up front.
+std::string respond(const std::string& shard, wire::MsgType type, std::string_view payload) {
+  const std::string ack = wire::pack_hello_ack({shard});
+  std::string out;
+  out.reserve(wire::frame_size(ack.size()) + wire::frame_size(payload.size()));
+  wire::append_frame(out, wire::MsgType::kHelloAck, ack);
+  wire::append_frame(out, type, payload);
+  return out;
+}
+
+}  // namespace
+
 ShardExecutor::ShardExecutor(std::string name, warehouse::Table jobs, Options opts)
     : name_(std::move(name)), jobs_(std::move(jobs)), opts_(std::move(opts)) {
   if (jobs_.time_partition().empty()) {
@@ -99,16 +114,14 @@ std::string ShardExecutor::serve(std::string_view request) const {
     }
     const wire::QueryMsg msg = wire::unpack_query(query.payload);
     const wire::PartialMsg out = execute(msg.spec, msg.deadline_ms, msg.rank_column);
-    return wire::frame(wire::MsgType::kHelloAck, wire::pack_hello_ack({name_})) +
-           wire::frame(wire::MsgType::kPartial, wire::pack_partial(out));
+    return respond(name_, wire::MsgType::kPartial, wire::pack_partial(out));
   } catch (const common::Cancelled& e) {
     timeout = true;
     error = e.what();
   } catch (const std::exception& e) {
     error = e.what();
   }
-  return wire::frame(wire::MsgType::kHelloAck, wire::pack_hello_ack({name_})) +
-         wire::frame(wire::MsgType::kError, wire::pack_error({error, timeout}));
+  return respond(name_, wire::MsgType::kError, wire::pack_error({error, timeout}));
 }
 
 }  // namespace supremm::federation

@@ -157,6 +157,10 @@ warehouse::AggState get_agg_state(Reader& r) {
   return s;
 }
 
+std::size_t key_value_bytes(const warehouse::partial::KeyValue& v) {
+  return 1 + (v.type == warehouse::ColType::kString ? 4 + v.str.size() : 8);
+}
+
 constexpr std::size_t kAggStateBytes = 6 * 8;
 constexpr std::size_t kMinKeyValueBytes = 1 + 4;  // type + shortest payload (empty string)
 constexpr std::size_t kMinTupleBytes = 4 + 4 + 8 + 4;  // group/extra counts + rank + ndays
@@ -281,8 +285,22 @@ QueryMsg unpack_query(std::string_view payload) {
 
 // --- partial ---------------------------------------------------------------
 
+/// Exact packed size of a partial message, so the packer allocates once.
+std::size_t partial_bytes(const PartialMsg& m) {
+  const auto& p = m.partial;
+  std::size_t n = 1 + 4 * 8 + 4 + 4 + 4;
+  for (const auto& [name, type] : p.key_schema) n += 4 + name.size() + 1;
+  for (const auto& t : p.tuples) {
+    n += 4 + 4 + 8 + 4 + t.days.size() * 8 + t.states.size() * kAggStateBytes;
+    for (const auto& v : t.group) n += key_value_bytes(v);
+    for (const auto& v : t.extra) n += key_value_bytes(v);
+  }
+  return n;
+}
+
 std::string pack_partial(const PartialMsg& m) {
   Writer w;
+  w.reserve(partial_bytes(m));
   w.u8(m.rollup_served ? 1 : 0);
   const auto& p = m.partial;
   w.u64(p.stats.chunks_total);
@@ -375,19 +393,26 @@ PartialMsg unpack_partial(std::string_view payload) {
 // --- framing ---------------------------------------------------------------
 
 std::string frame(MsgType type, std::string_view payload) {
+  std::string out;
+  out.reserve(frame_size(payload.size()));
+  append_frame(out, type, payload);
+  return out;
+}
+
+void append_frame(std::string& out, MsgType type, std::string_view payload) {
   if (payload.size() > kMaxPayload) {
     throw common::InvalidArgument("wire: payload exceeds frame cap");
   }
-  Writer w;
-  w.u32(kMagic);
-  w.u16(kProtocolVersion);
-  w.u16(static_cast<std::uint16_t>(type));
-  w.u32(static_cast<std::uint32_t>(payload.size()));
-  std::string out = w.take();
+  const std::size_t start = out.size();
+  const auto put = [&out](const auto v) {
+    out.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  };
+  put(kMagic);
+  put(kProtocolVersion);
+  put(static_cast<std::uint16_t>(type));
+  put(static_cast<std::uint32_t>(payload.size()));
   out.append(payload);
-  const std::uint32_t crc = common::crc32(out);
-  out.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return out;
+  put(common::crc32(std::string_view(out).substr(start)));
 }
 
 Frame read_frame(std::string_view buf, std::size_t& offset) {
@@ -424,7 +449,7 @@ Frame read_frame(std::string_view buf, std::size_t& offset) {
   }
   Frame f;
   f.type = static_cast<MsgType>(type);
-  f.payload = std::string(buf.substr(offset + kFrameHeaderBytes, len));
+  f.payload = buf.substr(offset + kFrameHeaderBytes, len);
   offset += kFrameHeaderBytes + len + 4;
   return f;
 }

@@ -56,6 +56,7 @@ class Writer {
   void i64(std::int64_t v) { raw(&v, sizeof(v)); }
   void f64(double v);  // exact bit pattern
   void str(std::string_view s);
+  void reserve(std::size_t bytes) { buf_.reserve(bytes); }
 
   [[nodiscard]] const std::string& data() const noexcept { return buf_; }
   [[nodiscard]] std::string take() { return std::move(buf_); }
@@ -135,12 +136,21 @@ struct ErrorMsg {
 
 // --- framing ---------------------------------------------------------------
 
+/// Bytes one frame around a `payload_bytes` payload occupies on the wire.
+[[nodiscard]] constexpr std::size_t frame_size(std::size_t payload_bytes) noexcept {
+  return kFrameHeaderBytes + payload_bytes + 4;
+}
+
 /// Wrap a packed payload in the versioned CRC frame.
 [[nodiscard]] std::string frame(MsgType type, std::string_view payload);
 
+/// Append one framed payload to `out` (the bytes frame() would return), so
+/// a conversation of several frames builds in one reserved buffer.
+void append_frame(std::string& out, MsgType type, std::string_view payload);
+
 struct Frame {
   MsgType type = MsgType::kError;
-  std::string payload;
+  std::string_view payload;  // view into the buffer read_frame was given
 };
 
 /// Decode the frame starting at `offset` in `buf`, advancing `offset` past

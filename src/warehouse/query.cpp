@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "warehouse/aggstate.h"
+#include "warehouse/id_index.h"
 #include "warehouse/kernels.h"
 #include "warehouse/partial.h"
 
@@ -159,7 +160,7 @@ struct PackedKey {
   bool operator==(const PackedKey&) const = default;
 };
 
-/// Hasher of the word-array keys (PackedKey, WideKey).
+/// Hasher of the word-array keys (PackedKey).
 struct KeyHash {
   template <typename Key>
   std::size_t operator()(const Key& k) const noexcept {
@@ -440,11 +441,33 @@ void radix_group_segment(SegmentPartial& part, const std::vector<KeyRef>& key_re
   }
 }
 
-/// Micro-cell key for the time-partitioned contract: group-key words, then
-/// partition-subkey words not already group keys, then the day index.
-struct WideKey {
-  std::array<std::uint64_t, 8> w{};
-  bool operator==(const WideKey&) const = default;
+/// Flat word-key index for the time-partitioned contract's micro-cell,
+/// sub-tuple and group keys: `width` words per key, stored id-major in one
+/// vector behind an IdIndex.
+class WordIndex {
+ public:
+  WordIndex(std::size_t width, std::size_t expected) : width_(width), index_(expected) {
+    keys_.reserve(expected * width);
+  }
+
+  /// Id of the `width`-word key, inserted with the next id when absent.
+  std::pair<std::uint32_t, bool> insert(const std::uint64_t* key) {
+    const std::uint64_t h = common::hash_words(std::span<const std::uint64_t>(key, width_));
+    const auto res = index_.insert(h, [&](std::uint32_t id) {
+      return std::equal(key, key + width_, this->key(id));
+    });
+    if (res.second) keys_.insert(keys_.end(), key, key + width_);
+    return res;
+  }
+
+  [[nodiscard]] const std::uint64_t* key(std::uint32_t id) const {
+    return keys_.data() + std::size_t{id} * width_;
+  }
+
+ private:
+  std::size_t width_;
+  IdIndex index_;
+  std::vector<std::uint64_t> keys_;  // [id * width + word]
 };
 
 std::uint64_t key_ref_word(const KeyRef& ref, std::uint32_t r) {
@@ -757,92 +780,99 @@ Collected collect(const Table& table, const std::vector<std::string>& group_by,
     rank_vals = rc.int64s().data();
   }
 
-  // Pass 1: sequential micro-cell accumulation in match order.
+  // Pass 1: sequential micro-cell accumulation in match order. A cell key
+  // is the group-key words, then the partition-subkey words not already
+  // group keys, then the day index.
   struct Cell {
     std::uint32_t example_row = 0;  // first matching row of the cell
     std::int64_t day = 0;
     std::int64_t rank = 0;  // min rank-column value over the cell's rows
   };
-  std::unordered_map<WideKey, std::uint32_t, KeyHash> cell_index;
+  const std::size_t nsub = nkeys + nextra;  // words of a sub-tuple key
+  WordIndex cell_index(nsub + 1, total_matches);
   std::vector<Cell> cells;              // first-seen order
   std::vector<AggState> cell_states;    // [cell * naggs + agg]
+  std::array<std::uint64_t, 8> key{};
   for (std::size_t j = 0; j < total_matches; ++j) {
     if ((j & (kSegmentRows - 1)) == 0) check_cancel();
     const std::uint32_t r =
         match_rows != nullptr ? match_rows[j] : static_cast<std::uint32_t>(j);
-    WideKey key;
     std::size_t k = 0;
-    for (const auto& ref : key_refs) key.w[k++] = key_ref_word(ref, r);
-    for (const auto& ref : extra_refs) key.w[k++] = key_ref_word(ref, r);
+    for (const auto& ref : key_refs) key[k++] = key_ref_word(ref, r);
+    for (const auto& ref : extra_refs) key[k++] = key_ref_word(ref, r);
     const std::int64_t day = end_day_index(end_vals[r]);
-    key.w[k] = static_cast<std::uint64_t>(day);
-    const auto [it, inserted] = cell_index.emplace(key, static_cast<std::uint32_t>(cells.size()));
+    key[k] = static_cast<std::uint64_t>(day);
+    const auto [c, inserted] = cell_index.insert(key.data());
     if (inserted) {
       cells.push_back({r, day, rank_vals != nullptr ? rank_vals[r] : 0});
       cell_states.resize(cell_states.size() + naggs);
     } else if (rank_vals != nullptr) {
-      Cell& cell = cells[it->second];
+      Cell& cell = cells[c];
       cell.rank = std::min(cell.rank, rank_vals[r]);
     }
-    update_aggs(agg_refs, cell_states.data() + std::size_t{it->second} * naggs, r);
+    update_aggs(agg_refs, cell_states.data() + std::size_t{c} * naggs, r);
   }
   check_cancel();
 
-  // Pass 2: bucket cells into groups and sub-tuples, first-seen order.
-  struct Sub {
-    std::vector<std::uint32_t> cells;
-  };
-  std::unordered_map<WideKey, std::uint32_t, KeyHash> sub_index;  // words minus day
-  std::vector<Sub> subs;
-  std::unordered_map<PackedKey, std::uint32_t, KeyHash> group_index;
+  // Pass 2: bucket cells into groups and sub-tuples, first-seen order. The
+  // group and sub-tuple keys are prefixes of the cell key.
+  WordIndex sub_index(nsub, cells.size());
+  WordIndex group_index(nkeys, cells.size());
+  std::vector<std::uint32_t> sub_of_cell(cells.size());
+  std::vector<std::uint32_t> sub_begin{0};  // cells per sub-tuple, then offsets
 
   Collected out;
   out.naggs = naggs;
   for (const auto& k : group_by) out.key_schema.emplace_back(k, table.col(k).type());
   for (std::uint32_t c = 0; c < cells.size(); ++c) {
-    const std::uint32_t r = cells[c].example_row;
-    PackedKey gkey;
-    WideKey skey;
-    std::size_t k = 0;
-    for (const auto& ref : key_refs) {
-      const std::uint64_t w = key_ref_word(ref, r);
-      gkey.w[k] = w;
-      skey.w[k] = w;
-      ++k;
-    }
-    for (const auto& ref : extra_refs) skey.w[k++] = key_ref_word(ref, r);
-    const auto [git, ginserted] =
-        group_index.emplace(gkey, static_cast<std::uint32_t>(out.group_example_row.size()));
+    const std::uint64_t* ckey = cell_index.key(c);
+    const auto [g, ginserted] = group_index.insert(ckey);
     if (ginserted) {
-      out.group_example_row.push_back(r);
+      out.group_example_row.push_back(cells[c].example_row);
       out.groups.emplace_back();
     }
-    const auto [sit, sinserted] =
-        sub_index.emplace(skey, static_cast<std::uint32_t>(subs.size()));
+    const auto [sub, sinserted] = sub_index.insert(ckey);
     if (sinserted) {
-      subs.emplace_back();
-      out.groups[git->second].push_back(sit->second);
+      sub_begin.push_back(0);
+      out.groups[g].push_back(sub);
     }
-    subs[sit->second].cells.push_back(c);
+    sub_of_cell[c] = sub;
+    ++sub_begin[sub + 1];
   }
 
   // Pass 3: materialize one TuplePartial per sub-tuple, day cells ascending.
-  out.tuples.resize(subs.size());
-  for (std::size_t s = 0; s < subs.size(); ++s) {
-    std::vector<std::uint32_t>& cs = subs[s].cells;
-    std::sort(cs.begin(), cs.end(), [&cells](std::uint32_t a, std::uint32_t b) {
-      return cells[a].day < cells[b].day;  // days are unique within a sub
+  // A counting scatter lists each sub's cells contiguously, ascending by
+  // cell id; the day sort then orders them (days are unique within a sub).
+  const std::size_t nsubs = sub_begin.size() - 1;
+  for (std::size_t s = 0; s < nsubs; ++s) sub_begin[s + 1] += sub_begin[s];
+  std::vector<std::uint32_t> by_sub(cells.size());
+  std::vector<std::uint32_t> cursor(sub_begin.begin(), sub_begin.end() - 1);
+  for (std::uint32_t c = 0; c < cells.size(); ++c) by_sub[cursor[sub_of_cell[c]]++] = c;
+
+  std::vector<const Column*> group_cols;
+  for (const auto& k : group_by) group_cols.push_back(&table.col(k));
+  std::vector<const Column*> extra_cols;
+  for (const auto& name : extra_names) extra_cols.push_back(&table.col(name));
+
+  out.tuples.resize(nsubs);
+  for (std::size_t s = 0; s < nsubs; ++s) {
+    const auto cs_begin = by_sub.begin() + sub_begin[s];
+    const auto cs_end = by_sub.begin() + sub_begin[s + 1];
+    std::sort(cs_begin, cs_end, [&cells](std::uint32_t a, std::uint32_t b) {
+      return cells[a].day < cells[b].day;
     });
     TuplePartial& t = out.tuples[s];
-    const std::uint32_t r0 = cells[cs.front()].example_row;
+    const std::uint32_t r0 = cells[*cs_begin].example_row;
     t.group.reserve(nkeys);
-    for (const auto& k : group_by) t.group.push_back(make_key_value(table.col(k), r0));
+    for (const Column* col : group_cols) t.group.push_back(make_key_value(*col, r0));
     t.extra.reserve(nextra);
-    for (const auto& name : extra_names) t.extra.push_back(make_key_value(table.col(name), r0));
-    t.rank = rank_vals != nullptr ? cells[cs.front()].rank : static_cast<std::int64_t>(s);
-    t.days.reserve(cs.size());
-    t.states.reserve(cs.size() * naggs);
-    for (const std::uint32_t c : cs) {
+    for (const Column* col : extra_cols) t.extra.push_back(make_key_value(*col, r0));
+    t.rank = rank_vals != nullptr ? cells[*cs_begin].rank : static_cast<std::int64_t>(s);
+    const auto ndays = static_cast<std::size_t>(cs_end - cs_begin);
+    t.days.reserve(ndays);
+    t.states.reserve(ndays * naggs);
+    for (auto it = cs_begin; it != cs_end; ++it) {
+      const std::uint32_t c = *it;
       if (rank_vals != nullptr) t.rank = std::min(t.rank, cells[c].rank);
       t.days.push_back(cells[c].day);
       t.states.insert(t.states.end(), cell_states.begin() + std::size_t{c} * naggs,

@@ -1,10 +1,47 @@
 #include "warehouse/table.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "common/error.h"
 
 namespace supremm::warehouse {
+
+namespace {
+
+constexpr std::int32_t kNoCode = -1;
+
+/// Slot of `v` in a dictionary index: the slot holding its code, or the
+/// empty slot where it belongs. `slots` must hold at least one empty slot.
+/// Any capacity works: the 32-bit hash scales onto [0, capacity) by a
+/// multiply-shift instead of a power-of-two mask.
+std::size_t dict_probe(const std::vector<std::int32_t>& slots,
+                       const std::vector<std::string>& dict, std::string_view v) {
+  const std::uint64_t h = std::hash<std::string_view>{}(v);
+  const auto h32 = static_cast<std::uint32_t>(h ^ (h >> 32));
+  const std::size_t cap = slots.size();
+  std::size_t i = static_cast<std::size_t>((std::uint64_t{h32} * cap) >> 32);
+  while (true) {
+    const std::int32_t c = slots[i];
+    if (c == kNoCode || dict[static_cast<std::size_t>(c)] == v) return i;
+    if (++i == cap) i = 0;
+  }
+}
+
+/// Index `dict` into `2 * dict.size()` slots (at least 8): load 1/2 after
+/// every rebuild, so an index never spends more than 8 bytes per entry.
+/// Returns false on a duplicate entry, leaving `slots` partly built.
+bool build_dict_slots(const std::vector<std::string>& dict, std::vector<std::int32_t>& slots) {
+  slots.assign(std::max<std::size_t>(8, 2 * dict.size()), kNoCode);
+  for (std::size_t code = 0; code < dict.size(); ++code) {
+    const std::size_t i = dict_probe(slots, dict, dict[code]);
+    if (slots[i] != kNoCode) return false;
+    slots[i] = static_cast<std::int32_t>(code);
+  }
+  return true;
+}
+
+}  // namespace
 
 Column::Column(std::string name, ColType type) : name_(std::move(name)), type_(type) {}
 
@@ -32,16 +69,20 @@ void Column::push_int64(std::int64_t v) {
 
 void Column::push_string(std::string_view v) {
   if (type_ != ColType::kString) throw common::InvalidArgument("column " + name_ + " not string");
-  const auto it = dict_index_.find(std::string(v));
-  std::int32_t code = 0;
-  if (it == dict_index_.end()) {
-    code = static_cast<std::int32_t>(dict_.size());
+  if (dict_slots_.empty()) dict_slots_.assign(8, kNoCode);
+  std::size_t i = dict_probe(dict_slots_, dict_, v);
+  if (dict_slots_[i] == kNoCode) {
+    // Keep the load at most 3/4 after the insert; a rebuild halves it.
+    if (4 * (dict_.size() + 1) > 3 * dict_slots_.size()) {
+      dict_.emplace_back(v);
+      build_dict_slots(dict_, dict_slots_);
+      codes_.push_back(static_cast<std::int32_t>(dict_.size() - 1));
+      return;
+    }
+    dict_slots_[i] = static_cast<std::int32_t>(dict_.size());
     dict_.emplace_back(v);
-    dict_index_.emplace(std::string(v), code);
-  } else {
-    code = it->second;
   }
-  codes_.push_back(code);
+  codes_.push_back(dict_slots_[i]);
 }
 
 void Column::append_doubles(std::span<const double> vals) {
@@ -69,13 +110,12 @@ void Column::set_dict(std::vector<std::string> entries) {
   if (!codes_.empty() || !dict_.empty()) {
     throw common::InvalidArgument("column " + name_ + ": set_dict on a non-empty column");
   }
-  dict_ = std::move(entries);
-  dict_index_.reserve(dict_.size());
-  for (std::size_t i = 0; i < dict_.size(); ++i) {
-    if (!dict_index_.emplace(dict_[i], static_cast<std::int32_t>(i)).second) {
-      throw common::InvalidArgument("column " + name_ + ": duplicate dictionary entry");
-    }
+  std::vector<std::int32_t> slots;
+  if (!build_dict_slots(entries, slots)) {
+    throw common::InvalidArgument("column " + name_ + ": duplicate dictionary entry");
   }
+  dict_ = std::move(entries);
+  dict_slots_ = std::move(slots);
 }
 
 double Column::as_double(std::size_t row) const {
@@ -106,9 +146,10 @@ std::span<const std::int64_t> Column::int64s() const {
 
 std::optional<std::int32_t> Column::find_code(std::string_view v) const {
   if (type_ != ColType::kString) throw common::InvalidArgument("column " + name_ + " not string");
-  const auto it = dict_index_.find(std::string(v));
-  if (it == dict_index_.end()) return std::nullopt;
-  return it->second;
+  if (dict_slots_.empty()) return std::nullopt;
+  const std::int32_t c = dict_slots_[dict_probe(dict_slots_, dict_, v)];
+  if (c == kNoCode) return std::nullopt;
+  return c;
 }
 
 std::span<const std::string> Column::dict() const {

@@ -9,7 +9,6 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <variant>
 #include <vector>
 
@@ -39,7 +38,8 @@ class Column {
   /// into the installed dictionary.
   void append_codes(std::span<const std::int32_t> vals);
   /// Install the dictionary wholesale (string columns only; the column must
-  /// not hold rows yet). Entries must be unique.
+  /// not hold rows yet). Entries must be unique; a duplicate throws
+  /// InvalidArgument and leaves the column as it was.
   void set_dict(std::vector<std::string> entries);
 
   [[nodiscard]] double as_double(std::size_t row) const;
@@ -69,7 +69,11 @@ class Column {
   std::vector<std::int64_t> i64_;
   std::vector<std::int32_t> codes_;
   std::vector<std::string> dict_;
-  std::unordered_map<std::string, std::int32_t> dict_index_;
+  /// Open-addressing index over dict_ (linear probing, load 1/2 to 3/4,
+  /// at least 8 slots): each slot holds a code or -1, and a probe compares
+  /// through dict_, so every distinct string is stored once plus at most
+  /// 8 bytes of slots (past the first four entries).
+  std::vector<std::int32_t> dict_slots_;
 };
 
 /// Per-chunk min/max/null-count summaries over a table, so queries and the

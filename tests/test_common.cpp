@@ -1,16 +1,19 @@
-// Unit tests for the common module: time, rng, strings, csv, worker pool,
-// ascii tables.
+// Unit tests for the common module: time, rng, strings, csv, checksum,
+// worker pool, ascii tables.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "common/ascii_table.h"
+#include "common/checksum.h"
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/pool.h"
@@ -289,6 +292,64 @@ TEST(Csv, IncrementalFields) {
   w.field("next");
   w.end_row();
   EXPECT_EQ(os.str(), "x,2.5,-3\nnext\n");
+}
+
+// --- checksum ---------------------------------------------------------------
+
+namespace {
+
+/// Bytewise reference CRC-32 (reflected 0xEDB88320, no tables), independent
+/// of the sliced implementation under test.
+std::uint32_t crc32_reference(std::string_view data, std::uint32_t seed = 0) {
+  std::uint32_t c = seed ^ 0xffffffffu;
+  for (const char ch : data) {
+    c ^= static_cast<std::uint8_t>(ch);
+    for (int k = 0; k < 8; ++k) c = (c & 1u) != 0 ? 0xedb88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xffffffffu;
+}
+
+std::string crc_bytes(std::size_t n, std::uint64_t seed) {
+  sc::RngStream rng(seed, 0);
+  std::string s(n, '\0');
+  for (char& ch : s) ch = static_cast<char>(rng.uniform_int(0, 255));
+  return s;
+}
+
+}  // namespace
+
+TEST(Checksum, StandardCheckValue) {
+  EXPECT_EQ(sc::crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(sc::crc32(""), 0u);
+  EXPECT_EQ(crc32_reference("123456789"), 0xCBF43926u);
+}
+
+TEST(Checksum, MatchesBytewiseReferenceAtEveryOffset) {
+  // Lengths 0-64 cover every tail length around the 8-byte step; the start
+  // offsets 0-7 cover every alignment of the 8-byte loads.
+  const std::string buf = crc_bytes(64 + 8, 11);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 64; ++len) {
+      const std::string_view s(buf.data() + off, len);
+      ASSERT_EQ(sc::crc32(s), crc32_reference(s)) << "offset " << off << " length " << len;
+    }
+  }
+  const std::string big = crc_bytes((std::size_t{1} << 20) + 13, 12);
+  for (std::size_t off = 0; off < 8; ++off) {
+    const std::string_view s(big.data() + off, big.size() - off);
+    EXPECT_EQ(sc::crc32(s), crc32_reference(s)) << "offset " << off;
+  }
+}
+
+TEST(Checksum, SeededChainingEqualsWholeInput) {
+  const std::string data = crc_bytes(1000, 13);
+  for (const std::size_t split : {std::size_t{0}, std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{333}, std::size_t{1000}}) {
+    const std::string_view a(data.data(), split);
+    const std::string_view b(data.data() + split, data.size() - split);
+    EXPECT_EQ(sc::crc32(b, sc::crc32(a)), sc::crc32(data)) << "split " << split;
+    EXPECT_EQ(sc::crc32(b, sc::crc32(a)), crc32_reference(b, crc32_reference(a)));
+  }
 }
 
 // --- worker pool ------------------------------------------------------------

@@ -6,8 +6,11 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/error.h"
+#include "common/strings.h"
 #include "warehouse/query.h"
 #include "warehouse/table.h"
 
@@ -65,6 +68,89 @@ TEST(Column, StringDictionaryEncoding) {
   EXPECT_NE(c.code(0), c.code(1));
   EXPECT_EQ(c.as_string(2), "aa");
   EXPECT_EQ(c.decode(c.code(1)), "bb");
+}
+
+TEST(Column, SetDictDuplicateThrowsAndLeavesColumnEmpty) {
+  wh::Column c("s", wh::ColType::kString);
+  EXPECT_THROW(c.set_dict({"a", "b", "a"}), supremm::InvalidArgument);
+  EXPECT_TRUE(c.dict().empty());
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_FALSE(c.find_code("a").has_value());
+  // Nothing of the refused dictionary survives: one code per value.
+  c.push_string("b");
+  c.push_string("a");
+  c.push_string("b");
+  EXPECT_EQ(c.dict().size(), 2u);
+  EXPECT_EQ(c.code(0), 0);
+  EXPECT_EQ(c.code(1), 1);
+  EXPECT_EQ(c.code(2), 0);
+  // A good dictionary still installs on a fresh column after a refusal.
+  wh::Column d("d", wh::ColType::kString);
+  EXPECT_THROW(d.set_dict({"x", "x"}), supremm::InvalidArgument);
+  d.set_dict({"x", "y"});
+  EXPECT_EQ(d.find_code("y"), 1);
+}
+
+TEST(Column, FindCodeHitsAndMisses) {
+  wh::Column empty("e", wh::ColType::kString);
+  EXPECT_FALSE(empty.find_code("").has_value());
+  EXPECT_FALSE(empty.find_code("a").has_value());
+
+  const std::string nul("a\0b", 3);
+  wh::Column c("s", wh::ColType::kString);
+  c.push_string("a");
+  c.push_string("");
+  c.push_string(nul);
+  EXPECT_EQ(c.find_code("a"), 0);
+  EXPECT_EQ(c.find_code(""), 1);
+  EXPECT_EQ(c.find_code(nul), 2);
+  EXPECT_FALSE(c.find_code(std::string("a\0c", 3)).has_value());
+  EXPECT_FALSE(c.find_code(std::string("a\0", 2)).has_value());
+  EXPECT_FALSE(c.find_code("b").has_value());
+  EXPECT_FALSE(c.find_code("ab").has_value());
+  EXPECT_EQ(c.as_string(2), nul);
+
+  wh::Column d("d", wh::ColType::kString);
+  d.set_dict({"", nul, "z"});
+  EXPECT_EQ(d.find_code(""), 0);
+  EXPECT_EQ(d.find_code(nul), 1);
+  EXPECT_FALSE(d.find_code("a").has_value());
+}
+
+TEST(Column, FirstSeenCodesStableThroughIndexGrowth) {
+  constexpr int kValues = 100000;
+  const auto value = [](int i) { return supremm::common::strprintf("v%d", i * 7919 % 1000003); };
+  wh::Column c("s", wh::ColType::kString);
+  for (int i = 0; i < kValues; ++i) {
+    c.push_string(value(i));
+    c.push_string(value(i / 2));  // a hit on an earlier value every row
+  }
+  ASSERT_EQ(c.dict().size(), static_cast<std::size_t>(kValues));
+  for (int i = 0; i < kValues; ++i) {
+    ASSERT_EQ(c.dict()[static_cast<std::size_t>(i)], value(i));
+    ASSERT_EQ(c.code(2 * static_cast<std::size_t>(i)), i);
+    ASSERT_EQ(c.code(2 * static_cast<std::size_t>(i) + 1), i / 2);
+    ASSERT_EQ(c.find_code(value(i)), i);
+  }
+  EXPECT_FALSE(c.find_code("v-1").has_value());
+}
+
+TEST(Column, PushStringAfterSetDict) {
+  wh::Column c("s", wh::ColType::kString);
+  std::vector<std::string> dict;
+  for (int i = 0; i < 50; ++i) dict.push_back(supremm::common::strprintf("d%d", i));
+  c.set_dict(dict);
+  c.push_string("d7");   // existing entry: its installed code
+  c.push_string("new");  // new entry: next code
+  c.push_string("d0");
+  c.push_string("new");
+  EXPECT_EQ(c.code(0), 7);
+  EXPECT_EQ(c.code(1), 50);
+  EXPECT_EQ(c.code(2), 0);
+  EXPECT_EQ(c.code(3), 50);
+  ASSERT_EQ(c.dict().size(), 51u);
+  EXPECT_EQ(c.dict()[50], "new");
+  for (int i = 0; i < 50; ++i) EXPECT_EQ(c.find_code(dict[static_cast<std::size_t>(i)]), i);
 }
 
 TEST(Column, IntAsDoubleCoercion) {
